@@ -79,7 +79,8 @@ Declaration = tuple
 
 
 class CardContext:
-    """Immutable catalog of named cardinals. Build via :func:`build_context`."""
+    """Immutable catalog of named cardinals, built from an ordered declaration
+    list (or with :class:`ContextBuilder`)."""
 
     def __init__(self, declarations: Sequence[Declaration]):
         self.declarations = tuple(declarations)
@@ -302,11 +303,6 @@ class CardContext:
     def trace(self, mu: str, model_width: str) -> str:
         """|mu ∩ N| for a model N of width model_width: min(mu, width)."""
         return self.min_of([mu, model_width])
-
-
-def build_context(declarations: Sequence[Declaration]) -> CardContext:
-    """Build an immutable context from an ordered declaration list."""
-    return CardContext(declarations)
 
 
 class ContextBuilder:

@@ -8,9 +8,10 @@ and a response set Y.  The two invariants are
     b_num: the least number of challenges no single response bounds
            (a minimum hitting set of the cone complements).
 
-Both are computed twice: a branch-and-bound solver over bitmask families
-(the production path) and a plain subset-enumeration oracle (`*_brute`)
-kept as an independent check for the test suite.
+The production path is one branch-and-bound set-cover solver: `d_num`
+runs it on the cones, and `b_num` runs `d_num` on the dual system, since
+b(R) = d(dual(R)).  A plain subset-enumeration oracle for each (`*_brute`)
+is kept independent of it as a check for the test suite.
 
 TOP is the "no witnessing set exists" value and is represented by
 ``math.inf`` so it compares and absorbs naturally.
@@ -89,7 +90,7 @@ class FinSys:
 
 
 # ---------------------------------------------------------------------------
-# exact minimum cover / hitting set
+# exact minimum cover
 # ---------------------------------------------------------------------------
 
 def _greedy_cover(universe: int, sets: list[int]) -> int | float:
@@ -143,30 +144,6 @@ def min_cover(universe: int, sets: list[int]) -> int | float:
     return best
 
 
-def min_hitting(family: list[int], ground_size: int) -> int | float:
-    """Exact minimum hitting set for a family of bitmask subsets of X."""
-    if any(s == 0 for s in family):
-        return TOP
-    if not family:
-        return 0
-    best = ground_size  # hitting each set with a distinct point always works
-
-    def search(remaining: list[int], used: int):
-        nonlocal best
-        if not remaining:
-            best = min(best, used)
-            return
-        if used + 1 >= best:
-            return
-        target = min(remaining, key=lambda s: bin(s).count("1"))
-        for x in range(ground_size):
-            if target >> x & 1:
-                search([s for s in remaining if not s >> x & 1], used + 1)
-
-    search(family, 0)
-    return best
-
-
 def _guard(R: FinSys, size_limit):
     if size_limit is not None and max(R.x_size, R.y_size) > size_limit:
         raise SizeLimit(f"carriers {R.x_size}x{R.y_size} exceed {size_limit}")
@@ -179,10 +156,8 @@ def d_num(R: FinSys, size_limit: int | None = DEFAULT_BD_LIMIT) -> int | float:
 
 
 def b_num(R: FinSys, size_limit: int | None = DEFAULT_BD_LIMIT) -> int | float:
-    """Unbounding number: minimum hitting set of the cone complements."""
-    _guard(R, size_limit)
-    full = (1 << R.x_size) - 1
-    return min_hitting([full & ~c for c in R.cones()], R.x_size)
+    """Unbounding number, as b(R) = d(dual(R))."""
+    return d_num(dual(R), size_limit)
 
 
 def d_num_brute(R: FinSys) -> int | float:

@@ -39,7 +39,8 @@ from typing import Optional, Sequence
 
 from .cards import ALEPH1, CardContext, OrdinalExpr
 from .diagram import Constellation, constellation
-from .facts import FactDB, REPLAY, ReplayError, base_facts, close
+from .facts import (FactDB, _expect, base_facts, card_embed, close,
+                    replays, shape_only)
 from .systems import (CIdeal, Card, Ideal, Prs, Prod, SysExpr, dual,
                       ord_expr, parse_expr, render)
 
@@ -218,17 +219,14 @@ def validate(ctx: CardContext, r: Recipe) -> list[str]:
 # ---------------------------------------------------------------------------
 # rule applications
 # ---------------------------------------------------------------------------
+#
+# Each rule is one function (ctx, recipe, *args) -> [(lhs, rhs, rule, note)]
+# that raises PreconditionFailed when a hypothesis fails.  `apply_*` adds
+# its conclusions to a database, and the replay re-runs it on the recipe
+# the database carries.
 
-def _recipe_of(db: FactDB) -> Recipe:
-    r = db.meta.get("recipe")
-    if r is None:
-        raise ForgeError("database carries no recipe")
-    return r
-
-
-def apply_fullgen(db: FactDB, r: Recipe, R: SysExpr) -> list[int]:
+def fullgen(ctx: CardContext, r: Recipe, R: SysExpr) -> list[tuple]:
     """Dominating reals cofinally often: R <= length (= Mg = length for Polish R)."""
-    ctx = db.ctx
     length = r.length_expr(ctx)
     cf = ctx.cf(length)
     if not any(s.cofinal and R in s.iterand.adds_dominating for s in r.slots):
@@ -238,39 +236,33 @@ def apply_fullgen(db: FactDB, r: Recipe, R: SysExpr) -> list[int]:
     if ctx.leq(r.cc, cf) is not True:
         raise PreconditionFailed(f"fullgen needs cc {r.cc} <= cf(length) {cf}")
     O = ord_expr(length)
-    note = "an iteration adding dominating reals cofinally often forces the system below its length"
-    ids = [db.add(R, O, "forge:fullgen", params=(render(R),), note=note)]
+    out = [(R, O, "forge:fullgen",
+            "an iteration adding dominating reals cofinally often forces the system below its length")]
     if isinstance(R, Prs):
-        note2 = "for a Polish system the connection upgrades to equivalence with Mg and the length"
-        ids += [
-            db.add(O, R, "forge:fullgen-prs", params=(render(R),), note=note2),
-            db.add(Prs("Mg"), O, "forge:fullgen-prs", params=(render(R),), note=note2),
-            db.add(O, Prs("Mg"), "forge:fullgen-prs", params=(render(R),), note=note2),
-        ]
-    return [i for i in ids if i is not None]
+        note = "for a Polish system the connection upgrades to equivalence with Mg and the length"
+        out += [(O, R, "forge:fullgen-prs", note),
+                (Prs("Mg"), O, "forge:fullgen-prs", note),
+                (O, Prs("Mg"), "forge:fullgen-prs", note)]
+    return out
 
 
-def apply_cohen_limit(db: FactDB, r: Recipe) -> list[int]:
+def cohen_limit(ctx: CardContext, r: Recipe) -> list[tuple]:
     """Limit iterations add Cohen reals cofinally: length <= Mg."""
-    ctx = db.ctx
     if not r.slots:
         raise PreconditionFailed("zero-length recipe")
     length = r.length_expr(ctx)
     if not ctx.uncountable(ctx.cf(length)):
         raise PreconditionFailed("cohen-limit needs uncountable cofinality")
-    O = ord_expr(length)
-    ids = [db.add(O, Prs("Mg"), "forge:cohen-limit",
-                  note="limit stages add Cohen reals, placing the length below Mg")]
+    out = [(ord_expr(length), Prs("Mg"), "forge:cohen-limit",
+            "limit stages add Cohen reals, placing the length below Mg")]
     if all(s.iterand.name == "cohen" for s in r.slots):
-        ci = CIdeal(ctx.card(length), ALEPH1)
-        ids.append(db.add(ci, Prs("Mg"), "forge:cohen-product",
-                          note="a Cohen product embeds the index small-set covering into Mg"))
-    return [i for i in ids if i is not None]
+        out.append((CIdeal(ctx.card(length), ALEPH1), Prs("Mg"), "forge:cohen-product",
+                    "a Cohen product embeds the index small-set covering into Mg"))
+    return out
 
 
-def apply_itsmallsets(db: FactDB, r: Recipe, R: SysExpr, theta: str) -> list[int]:
+def itsmallsets(ctx: CardContext, r: Recipe, R: SysExpr, theta: str) -> list[tuple]:
     """Bookkept small-set domination: R <= C[|length| < theta]."""
-    ctx = db.ctx
     if not isinstance(R, Prs):
         raise PreconditionFailed("itsmallsets targets a Polish atom")
     if not any(s.bookkeeping == (R.atom, theta) for s in r.slots):
@@ -280,15 +272,12 @@ def apply_itsmallsets(db: FactDB, r: Recipe, R: SysExpr, theta: str) -> list[int
         raise PreconditionFailed(f"{theta} must be regular uncountable")
     if ctx.leq(r.cc, theta) is not True or ctx.leq(theta, ctx.cf(length)) is not True:
         raise PreconditionFailed(f"need cc <= {theta} <= cf(length)")
-    ci = CIdeal(ctx.card(length), theta)
-    fid = db.add(R, ci, "forge:itsmallsets", params=(render(R), theta),
-                 note="every bookkept small set gets a dominating real, so R embeds into the covering system")
-    return [] if fid is None else [fid]
+    return [(R, CIdeal(ctx.card(length), theta), "forge:itsmallsets",
+             "every bookkept small set gets a dominating real, so R embeds into the covering system")]
 
 
-def apply_preEUB(db: FactDB, r: Recipe, R: SysExpr, theta: str) -> list[int]:
+def preEUB(ctx: CardContext, r: Recipe, R: SysExpr, theta: str) -> list[tuple]:
     """Goodness of all slots at theta: C[|length| < theta] <= R."""
-    ctx = db.ctx
     if not isinstance(R, Prs):
         raise PreconditionFailed("preEUB targets a Polish atom")
     for slot in r.slots:
@@ -300,23 +289,50 @@ def apply_preEUB(db: FactDB, r: Recipe, R: SysExpr, theta: str) -> list[int]:
         raise PreconditionFailed(f"{theta} must be regular uncountable")
     if ctx.leq(r.cc, theta) is not True:
         raise PreconditionFailed(f"need cc <= {theta}")
-    length = r.length_expr(ctx)
-    card = ctx.card(length)
+    card = ctx.card(r.length_expr(ctx))
     if ctx.leq(theta, card) is not True:
         raise PreconditionFailed(f"need {theta} <= |length|")
-    ci = CIdeal(card, theta)
-    note = ("goodness is preserved along the iteration, keeping ground witnesses unbounded; "
-            "the covering system embeds into R")
-    fid = db.add(ci, R, "forge:preEUB", params=(render(R), theta), note=note)
-    ids = [] if fid is None else [fid]
-    anchor = fid if fid is not None else db.id_of(ci, R)
-    for mu in ctx.regulars_between(theta, card):
-        mid = db.add(Card(mu), R, "forge:preEUB-card", premises=(anchor,),
-                     params=(mu,),
-                     note="each regular cardinal in [theta,|length|] embeds below R")
-        if mid is not None:
-            ids.append(mid)
-    return ids
+    return [(CIdeal(card, theta), R, "forge:preEUB",
+             "goodness is preserved along the iteration, keeping ground witnesses unbounded; "
+             "the covering system embeds into R")]
+
+
+# rule name -> the function that concludes it; a fact's params are its
+# function's arguments after the recipe, the first one rendered
+RECIPE_RULES = {
+    "forge:fullgen": fullgen, "forge:fullgen-prs": fullgen,
+    "forge:cohen-limit": cohen_limit, "forge:cohen-product": cohen_limit,
+    "forge:itsmallsets": itsmallsets, "forge:preEUB": preEUB,
+}
+
+
+def _add(db: FactDB, conclusions, params=(), premises=()) -> list[int]:
+    ids = [db.add(lhs, rhs, rule, premises, params, note)
+           for lhs, rhs, rule, note in conclusions]
+    return [i for i in ids if i is not None]
+
+
+def apply_fullgen(db: FactDB, r: Recipe, R: SysExpr) -> list[int]:
+    return _add(db, fullgen(db.ctx, r, R), (render(R),))
+
+
+def apply_cohen_limit(db: FactDB, r: Recipe) -> list[int]:
+    return _add(db, cohen_limit(db.ctx, r))
+
+
+def apply_itsmallsets(db: FactDB, r: Recipe, R: SysExpr, theta: str) -> list[int]:
+    return _add(db, itsmallsets(db.ctx, r, R, theta), (render(R), theta))
+
+
+def apply_preEUB(db: FactDB, r: Recipe, R: SysExpr, theta: str) -> list[int]:
+    """Adds C[|length| < theta] <= R, and below it each regular cardinal in
+    [theta, |length|] (`forge:preEUB-card`, citing that fact)."""
+    conclusions = preEUB(db.ctx, r, R, theta)
+    ids = _add(db, conclusions, (render(R), theta))
+    ci = conclusions[0][0]
+    note = "each regular cardinal in [theta,|length|] embeds below R"
+    cards = [(mu, R, "forge:preEUB-card", note) for mu, _ in card_embed(db.ctx, ci)]
+    return ids + _add(db, cards, premises=(db.id_of(ci, R),))
 
 
 def preeub_threshold(ctx: CardContext, r: Recipe, atom: str) -> Optional[str]:
@@ -489,123 +505,42 @@ def axiom_model(ctx: CardContext, name: str, cards: Sequence[str]) -> DerivedMod
 
 
 # ---------------------------------------------------------------------------
-# replay entries for the trusted rules
+# replay entries
 # ---------------------------------------------------------------------------
 
-def _forge_expect(cond, fid, fact, msg):
-    if not cond:
-        raise ReplayError(f"fact {fid} ({render(fact.lhs)} <= {render(fact.rhs)}): {msg}")
-
-
-def _replay_fullgen(db, fid, fact):
-    r = _recipe_of(db)
-    rendered = fact.params[0]
-    R = parse_expr(rendered)
-    ctx = db.ctx
-    length = r.length_expr(ctx)
-    _forge_expect(any(s.cofinal and R in s.iterand.adds_dominating for s in r.slots),
-                  fid, fact, f"no cofinal slot adds {rendered}")
-    _forge_expect(ctx.uncountable(ctx.cf(length)) and ctx.leq(r.cc, ctx.cf(length)) is True,
-                  fid, fact, "cofinality preconditions fail")
-    O = ord_expr(length)
-    if fact.rule == "forge:fullgen":
-        _forge_expect(fact.key() == (R, O), fid, fact, "conclusion mismatch")
-    else:
-        _forge_expect(isinstance(R, Prs), fid, fact, "equivalence upgrade needs a Polish atom")
-        allowed = {(O, R), (Prs("Mg"), O), (O, Prs("Mg"))}
-        _forge_expect(fact.key() in allowed, fid, fact, "conclusion mismatch")
-
-
-REPLAY["forge:fullgen"] = _replay_fullgen
-REPLAY["forge:fullgen-prs"] = _replay_fullgen
-
-
-def _replay_cohen_limit(db, fid, fact):
-    r = _recipe_of(db)
-    ctx = db.ctx
-    length = r.length_expr(ctx)
-    _forge_expect(bool(r.slots) and ctx.uncountable(ctx.cf(length)), fid, fact,
-                  "limit preconditions fail")
-    if fact.rule == "forge:cohen-limit":
-        _forge_expect(fact.key() == (ord_expr(length), Prs("Mg")), fid, fact,
-                      "conclusion mismatch")
-    else:
-        _forge_expect(all(s.iterand.name == "cohen" for s in r.slots), fid, fact,
-                      "not a pure Cohen product")
-        _forge_expect(fact.key() == (CIdeal(ctx.card(length), ALEPH1), Prs("Mg")),
-                      fid, fact, "conclusion mismatch")
-
-
-REPLAY["forge:cohen-limit"] = _replay_cohen_limit
-REPLAY["forge:cohen-product"] = _replay_cohen_limit
-
-
-def _replay_itsmallsets(db, fid, fact):
-    r = _recipe_of(db)
-    ctx = db.ctx
-    rendered, theta = fact.params
-    R = parse_expr(rendered)
-    _forge_expect(isinstance(R, Prs), fid, fact, "target must be a Polish atom")
-    _forge_expect(any(s.bookkeeping == (R.atom, theta) for s in r.slots), fid, fact,
-                  "no such bookkeeping slot")
-    length = r.length_expr(ctx)
-    _forge_expect(ctx.is_regular(theta) and ctx.uncountable(theta)
-                  and ctx.leq(r.cc, theta) is True
-                  and ctx.leq(theta, ctx.cf(length)) is True,
-                  fid, fact, "threshold preconditions fail")
-    _forge_expect(fact.key() == (R, CIdeal(ctx.card(length), theta)), fid, fact,
-                  "conclusion mismatch")
-
-
-REPLAY["forge:itsmallsets"] = _replay_itsmallsets
-
-
-def _replay_preeub(db, fid, fact):
-    r = _recipe_of(db)
-    ctx = db.ctx
-    if fact.rule == "forge:preEUB-card":
-        (mu,) = fact.params
-        (anchor,) = fact.premises
-        base = db.facts[anchor]
-        ci = base.lhs
-        _forge_expect(isinstance(ci, CIdeal), fid, fact,
-                      "premise is not a covering-system fact")
-        _forge_expect(ctx.is_regular(mu)
-                      and ctx.leq(ci.theta, mu) is True
-                      and ctx.leq(mu, ci.index) is True,
-                      fid, fact, f"{mu} is not regular in range")
-        _forge_expect(fact.key() == (Card(mu), base.rhs), fid, fact, "conclusion mismatch")
+@replays(*RECIPE_RULES)
+def _replay_recipe_rule(db, fid, fact):
+    if shape_only(db, fact):
         return
-    rendered, theta = fact.params
-    R = parse_expr(rendered)
-    _forge_expect(isinstance(R, Prs), fid, fact, "target must be a Polish atom")
-    for slot in r.slots:
-        ts = slot.iterand.good_thresholds(R.atom)
-        _forge_expect(any(ctx.leq(t, theta) is True for t in ts), fid, fact,
-                      f"slot {slot.iterand.token()} not {theta}-{R.atom}-good")
-    length = r.length_expr(ctx)
-    card = ctx.card(length)
-    _forge_expect(ctx.is_regular(theta) and ctx.uncountable(theta)
-                  and ctx.leq(r.cc, theta) is True and ctx.leq(theta, card) is True,
-                  fid, fact, "threshold preconditions fail")
-    _forge_expect(fact.key() == (CIdeal(card, theta), R), fid, fact, "conclusion mismatch")
+    r = db.meta.get("recipe")
+    _expect(r is not None, fid, fact, "database carries no recipe")
+    args = (parse_expr(fact.params[0]),) + tuple(fact.params[1:]) if fact.params else ()
+    try:
+        conclusions = RECIPE_RULES[fact.rule](db.ctx, r, *args)
+    except PreconditionFailed as exc:
+        _expect(False, fid, fact, f"precondition fails: {exc}")
+    _expect((fact.lhs, fact.rhs, fact.rule) in [c[:3] for c in conclusions], fid, fact,
+            "not a conclusion of the rule")
 
 
-REPLAY["forge:preEUB"] = _replay_preeub
-REPLAY["forge:preEUB-card"] = _replay_preeub
+@replays("forge:preEUB-card", premises=1)
+def _replay_preeub_card(db, fid, fact):
+    base = db.facts[fact.premises[0]]
+    _expect(isinstance(base.lhs, CIdeal) and fact.rhs == base.rhs
+            and (fact.lhs, base.lhs) in card_embed(db.ctx, base.lhs), fid, fact,
+            "not a regular cardinal below the premise's covering system")
 
 
+@replays(*(f"axiom:{name}" for name in _AXIOM_ARITY))
 def _replay_axiom(db, fid, fact):
+    if shape_only(db, fact):
+        return
     meta = db.meta.get("axiom")
-    _forge_expect(meta is not None, fid, fact, "database carries no axiom model")
+    _expect(meta is not None, fid, fact, "database carries no axiom model")
     name, cards = meta
-    _forge_expect(fact.rule == f"axiom:{name}", fid, fact, "rule/model mismatch")
-    _forge_expect(tuple(fact.params) == tuple(cards), fid, fact, "parameter mismatch")
+    _expect(fact.rule == f"axiom:{name}", fid, fact, "rule/model mismatch")
+    _expect(tuple(fact.params) == tuple(cards), fid, fact, "parameter mismatch")
     miss = axiom_requirements(db.ctx, name, tuple(cards))
-    _forge_expect(not miss, fid, fact, f"hypotheses fail: {miss}")
+    _expect(not miss, fid, fact, f"hypotheses fail: {miss}")
     expected = {(l, r) for l, r, _ in axiom_facts(name, tuple(cards))}
-    _forge_expect(fact.key() in expected, fid, fact, "not a conclusion of the model")
-
-
-for _name in ("gksmax", "kst", "bcm"):
-    REPLAY[f"axiom:{_name}"] = _replay_axiom
+    _expect(fact.key() in expected, fid, fact, "not a conclusion of the model")

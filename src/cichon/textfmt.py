@@ -65,13 +65,6 @@ class RecipeFile:
     def ctx(self) -> CardContext:
         return CardContext(self.context)
 
-    def __eq__(self, other):
-        return (isinstance(other, RecipeFile)
-                and self.context == other.context
-                and self.recipes == other.recipes
-                and self.plans == other.plans
-                and self.assignments == other.assignments)
-
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 

@@ -1,0 +1,190 @@
+"""Replay of every rule family: a wrong premise count or a corrupted
+conclusion ends in ReplayError, from `verify` on a live database and, for
+the rules a trace can re-derive alone, from `check_trace` on its rendering."""
+
+import dataclasses
+
+import pytest
+
+from cichon.builtins import builtin
+from cichon.cards import ALEPH1, ContextBuilder
+from cichon.facts import REPLAY, FactDB, ReplayError, check_trace, close, verify
+from cichon.submodel import run_plan
+from cichon.systems import Card, Ideal, Prod, R4, dual
+
+REPLAY.setdefault("axiom:test", lambda db, fid, f: None)
+
+
+def derive(name):
+    b = builtin(name)
+    return run_plan(b.ctx(), b.plan).db if b.kind == "plan" else b.derive().db
+
+
+def prod_db():
+    """No builtin records rule:prod-proj, so project out of a lone product."""
+    b = ContextBuilder()
+    for n in ("lam4", "lam5"):
+        b.card(n, regular=True)
+    b.chain([ALEPH1, "lam4", "lam5"], strict=True)
+    db = FactDB(b.build(), "lam5")
+    db.add(R4, Prod((Card("lam5"), Card("lam4"))), "axiom:test", note="t")
+    return close(db)
+
+
+def replace_fact(db, fid, **changes):
+    db.facts[fid] = dataclasses.replace(db.facts[fid], **changes)
+
+
+# -- premise counts ----------------------------------------------------------
+
+def _retrace(lines, rule, premises):
+    """Rewrite the premises of the first trace line of `rule`."""
+    k = next(k for k, ln in enumerate(lines) if f"[{rule}; " in ln)
+    head, rest = lines[k].split(f"[{rule}; ", 1)
+    lines[k] = f"{head}[{rule}; {premises}; {rest.split('; ', 1)[1]}"
+    return lines
+
+
+def test_trace_trans_with_one_premise():
+    db = derive("mod1")
+    lines = _retrace(db.trace_lines(), "rule:trans", "0")
+    with pytest.raises(ReplayError, match="premises"):
+        check_trace(db.ctx, lines)
+
+
+def test_trace_card_embed_without_premises():
+    db = derive("mod1")
+    lines = _retrace(db.trace_lines(), "rule:card-embed", "")
+    with pytest.raises(ReplayError, match="premises"):
+        check_trace(db.ctx, lines)
+
+
+def test_verify_trans_with_one_premise():
+    db = derive("mod1")
+    fid = next(i for i, f in enumerate(db.facts) if f.rule == "rule:trans")
+    replace_fact(db, fid, premises=db.facts[fid].premises[:1])
+    with pytest.raises(ReplayError, match="premises"):
+        verify(db)
+
+
+# -- a corrupted conclusion of the same shape, per rule family ---------------
+
+def _card_side(f):
+    return f.lhs if isinstance(f.lhs, Card) else f.rhs
+
+
+def _aleph1_for_card_side(db, f):
+    """Swap the cardinal side for aleph1, which lies below the theta of the
+    premise's covering system, outside the product, or off the cofinality."""
+    card = _card_side(f)
+    if card == Card(ALEPH1):
+        return None
+    if f.rule == "forge:preEUB-card" and db.facts[f.premises[0]].lhs.theta == ALEPH1:
+        return None
+    return tuple(Card(ALEPH1) if e is card else e for e in (f.lhs, f.rhs))
+
+
+def _card_below_theta(db, f):
+    """Lower the cardinal to the largest regular below the covering
+    system's theta, which the premise still mentions."""
+    ctx, theta = db.ctx, f.rhs.theta
+    below = [mu for mu in ctx.regulars_between(ALEPH1, theta) if ctx.lt(mu, theta)]
+    return (Card(below[-1]), f.rhs) if below else None
+
+
+def _ideal_theta(db, f):
+    """Give the ideal side another theta than its covering system."""
+    ideal = f.lhs if isinstance(f.lhs, Ideal) else f.rhs
+    if ideal.theta == ALEPH1:
+        return None
+    other = Ideal(ideal.index, ALEPH1)
+    return tuple(other if e is ideal else e for e in (f.lhs, f.rhs))
+
+
+def _rhs_dual(db, f):
+    return f.lhs, dual(f.rhs)
+
+
+def _swap(db, f):
+    return f.rhs, f.lhs
+
+
+STRUCTURAL = [
+    ("rule:trans", derive, "mod1", _rhs_dual),
+    ("rule:dual", derive, "mod1", _rhs_dual),
+    ("rule:prod-proj", lambda _: prod_db(), None, _aleph1_for_card_side),
+    ("rule:card-embed", derive, "gksmax", _card_below_theta),
+    ("rule:ideal-collapse", derive, "mod1", _ideal_theta),
+    ("rule:cideal-mono", derive, "mod1", _swap),
+    ("rule:ord-cofinality", derive, "mod1", _aleph1_for_card_side),
+    ("forge:preEUB-card", derive, "mod1", _aleph1_for_card_side),
+]
+
+TRUSTED = [
+    ("seed:diagram", "mod1"),
+    ("seed:prs-equiv", "mod1"),
+    ("seed:ideal-cover", "mod1"),
+    ("seed:prs-meager", "mod1"),
+    ("forge:fullgen", "mod1"),
+    ("forge:fullgen-prs", "random"),
+    ("forge:cohen-limit", "mod1"),
+    ("forge:cohen-product", "cohen"),
+    ("forge:itsmallsets", "mod1"),
+    ("forge:preEUB", "mod1"),
+    ("axiom:gksmax", "gksmax"),
+    ("axiom:kst", "kst"),
+    ("axiom:bcm", "bcm"),
+    ("plan:product-bound", "cichon_max"),
+    ("plan:regular-below", "cichon_max"),
+]
+
+
+def tamper(db, rule, corrupt):
+    """Corrupt the conclusion of the first `rule` fact that `corrupt` turns
+    into a pair the database does not hold."""
+    for fid, f in enumerate(db.facts):
+        if f.rule == rule:
+            new = corrupt(db, f)
+            if new is not None and not db.has(*new):
+                replace_fact(db, fid, lhs=new[0], rhs=new[1])
+                return fid
+    raise AssertionError(f"no {rule} fact to tamper with")
+
+
+@pytest.mark.parametrize("rule,make,name,corrupt", STRUCTURAL,
+                         ids=[r for r, *_ in STRUCTURAL])
+def test_structural_tampering_caught(rule, make, name, corrupt):
+    db = make(name)
+    verify(db)
+    assert check_trace(db.ctx, db.trace_lines()) == len(db.facts)
+    fid = tamper(db, rule, corrupt)
+    with pytest.raises(ReplayError, match=rf"fact {fid}\b"):
+        verify(db)
+    with pytest.raises(ReplayError, match=rf"fact {fid}\b"):
+        check_trace(db.ctx, db.trace_lines())
+
+
+@pytest.mark.parametrize("rule,name", TRUSTED, ids=[r for r, _ in TRUSTED])
+def test_trusted_tampering_caught_by_verify(rule, name):
+    db = derive(name)
+    verify(db)
+    fid = tamper(db, rule, _rhs_dual)
+    with pytest.raises(ReplayError, match=rf"fact {fid}\b"):
+        verify(db)
+
+
+def test_verify_needs_the_recipe():
+    db = derive("mod1")
+    del db.meta["recipe"]
+    with pytest.raises(ReplayError, match="no recipe"):
+        verify(db)
+
+
+def test_verify_rechecks_the_plan_hypotheses():
+    db = derive("cichon_max")
+    verify(db)
+    plan = db.meta["plan"]
+    final = dataclasses.replace(plan.steps[-1], closure=plan.steps[0].closure)
+    db.meta["plan"] = dataclasses.replace(plan, steps=plan.steps[:-1] + (final,))
+    with pytest.raises(ReplayError, match="sigma-closed"):
+        verify(db)
