@@ -38,10 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .cards import ALEPH1, CONTINUUM, CardContext, OrdinalExpr
-from .systems import (CIdeal, Card, CoverSys, Ideal, IdealSys, Ord, Prod,
-                      R1, R2, R3, R4, SysExpr, dual, render, subexpressions,
-                      validate_expr)
+from .cards import ALEPH1, CONTINUUM, CardContext, CardError, OrdinalExpr
+from .systems import (CIdeal, Card, CoverSys, ExprError, Ideal, IdealSys, Ord,
+                      Prod, R1, R2, R3, R4, SysExpr, dual, parse_expr, render,
+                      subexpressions, validate_expr)
 
 
 class FactError(Exception):
@@ -346,6 +346,27 @@ def shape_only(db: FactDB, fact: TukeyFact) -> bool:
     return True
 
 
+def expect_rerun(db: FactDB, fid: int, fact: TukeyFact, source: str,
+                 rerun: Callable, errors: tuple) -> None:
+    """Checks a fact and its params against the (lhs, rhs, rule, params, ...)
+    tuples ``rerun(ctx, db.meta[source])`` returns.  It re-runs once per
+    object, so replacing the object invalidates the result; an error of a
+    type in `errors` fails the fact."""
+    if shape_only(db, fact):
+        return
+    obj = db.meta.get(source)
+    _expect(obj is not None, fid, fact, f"database carries no {source}")
+    ran, expected = db.meta.get(f"_{source}_expected", (None, None))
+    if ran is not obj:
+        try:
+            expected = {c[:4] for c in rerun(db.ctx, obj)}
+        except errors as exc:
+            _expect(False, fid, fact, f"re-running the {source} fails: {exc}")
+        db.meta[f"_{source}_expected"] = (obj, expected)
+    _expect((fact.lhs, fact.rhs, fact.rule, tuple(fact.params)) in expected, fid, fact,
+            f"re-running the {source} does not reproduce it")
+
+
 @replays("seed:diagram", "seed:prs-equiv", "seed:ideal-cover", "seed:prs-meager")
 def _replay_seed(db, fid, fact):
     if shape_only(db, fact):
@@ -413,7 +434,10 @@ def _replay(db: FactDB):
         for p in premises:
             if not 0 <= p < fid:
                 raise ReplayError(f"fact {fid}: premise {p} does not precede it")
-        fn(db, fid, fact)
+        try:
+            fn(db, fid, fact)
+        except (CardError, ExprError) as exc:
+            raise ReplayError(f"fact {fid}: {type(exc).__name__}: {exc}") from exc
 
 
 def verify(db: FactDB):
@@ -432,7 +456,6 @@ _TRACE_LINE = _re.compile(
 
 
 def parse_trace(lines) -> list[TukeyFact]:
-    from .systems import parse_expr
     out = []
     for k, line in enumerate(lines):
         line = line.rstrip("\n")
@@ -445,8 +468,11 @@ def parse_trace(lines) -> list[TukeyFact]:
         if fid != len(out):
             raise ReplayError(f"trace line {k + 1}: expected id {len(out)}, got {fid}")
         prem = tuple(int(t) for t in m.group(5).replace(" ", "").split(",") if t)
-        out.append(TukeyFact(parse_expr(m.group(2)), parse_expr(m.group(3)),
-                             m.group(4), prem, (), m.group(6)))
+        try:
+            lhs, rhs = parse_expr(m.group(2)), parse_expr(m.group(3))
+        except ExprError as exc:
+            raise ReplayError(f"trace line {k + 1}: {exc}") from exc
+        out.append(TukeyFact(lhs, rhs, m.group(4), prem, (), m.group(6)))
     return out
 
 

@@ -17,7 +17,11 @@ classes inherit their parent's entries (a subalgebra of random forcing
 keeps the measure-theoretic Lc*-goodness; subposets of Hechler stay
 sigma-centered) and gain (theta, R) for every R from their size.
 
-The four derivation rules are trusted, hypothesis-checked inferences:
+The four derivation rules are the theorems behind every recipe fact.  Each
+is one function `(ctx, recipe, *args)` that returns its conclusions as
+(lhs, rhs, rule, note) or raises `PreconditionFailed` naming the hypothesis
+that fails, and it is the only place its hypotheses are stated (`apply_*`
+adds the conclusions to a database):
 
 * fullgen      - dominating reals cofinally often force R <= length, and
                  R = Mg = length for Polish R;
@@ -27,9 +31,14 @@ The four derivation rules are trusted, hypothesis-checked inferences:
 * itsmallsets  - bookkept small-set domination forces R <= C[c < theta];
 * preEUB       - when every slot is theta-R-good, C[c < theta] <= R.
 
-`run_recipe` applies every applicable rule, closes the database and
-evaluates the constellation.  `axiom_model` installs the three
-construction-heavy left-side models as axiom-level fact sets.
+`run_rules` is the one pass over a recipe.  It checks the hypotheses all
+applications share (a well-formed length, a regular uncountable cc, and
+|length|^aleph0 = |length| so that c = |length|), lists the applications
+the recipe triggers, and calls each rule once.  `validate` returns the
+failures of that pass, `run_recipe` adds its conclusions, closes the
+database and evaluates the constellation, and the replay of a `forge:`
+fact re-runs it.  `axiom_model` installs the three construction-heavy
+left-side models as axiom-level fact sets.
 """
 
 from __future__ import annotations
@@ -37,12 +46,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cards import ALEPH1, CardContext, OrdinalExpr
+from .cards import ALEPH1, CardContext, CardError, IncomparableNames, OrdinalExpr
 from .diagram import Constellation, constellation
 from .facts import (FactDB, _expect, base_facts, card_embed, close,
-                    replays, shape_only)
+                    expect_rerun, replays, shape_only)
 from .systems import (CIdeal, Card, Ideal, Prs, Prod, SysExpr, dual,
-                      ord_expr, parse_expr, render)
+                      ord_expr, render)
 
 
 class ForgeError(Exception):
@@ -176,54 +185,9 @@ class DerivedModel:
     trace: tuple[str, ...]
 
 
-def validate(ctx: CardContext, r: Recipe) -> list[str]:
-    """Diagnostics for every theorem hypothesis the recipe will trigger."""
-    diags: list[str] = []
-    if not r.slots:
-        diags.append("recipe has no slots")
-        return diags
-    try:
-        length = r.length_expr(ctx)
-    except Exception as exc:
-        diags.append(f"bad length: {exc}")
-        return diags
-    card = ctx.card(length)
-    cf = ctx.cf(length)
-    if not (ctx.is_regular(r.cc) and ctx.uncountable(r.cc)):
-        diags.append(f"cc bound {r.cc} must be regular uncountable")
-    if not ctx.has_pow(card, "aleph0"):
-        diags.append(f"forcing c={card} needs pow({card},aleph0)={card} declared")
-    for slot in r.slots:
-        cls = slot.iterand
-        if slot.cofinal and cls.adds_dominating and ctx.leq(r.cc, cf) is not True:
-            diags.append(f"fullgen via {cls.token()} needs cc {r.cc} <= cf(length) {cf}")
-        if slot.bookkeeping is not None:
-            atom, theta = slot.bookkeeping
-            if cls.size_bound is None:
-                diags.append(f"{cls.token()} cannot carry bookkeeping (not a restricted class)")
-                continue
-            if theta != cls.size_bound:
-                diags.append(f"bookkeeping up_to {theta} must equal the class bound {cls.size_bound}")
-            if Prs(atom) not in cls.dominates_small:
-                diags.append(f"{cls.token()} does not add {atom}-dominating reals over its models")
-            if not (ctx.is_regular(theta) and ctx.uncountable(theta)):
-                diags.append(f"bookkeeping threshold {theta} must be regular uncountable")
-            if ctx.leq(r.cc, theta) is not True or ctx.leq(theta, cf) is not True:
-                diags.append(f"bookkeeping needs cc <= {theta} <= cf(length)={cf}")
-            if not ctx.has_pow_lt(card, theta):
-                diags.append(
-                    f"bookkeeping coverage at {theta} needs pow_lt({card},{theta})={card} declared")
-    return diags
-
-
 # ---------------------------------------------------------------------------
 # rule applications
 # ---------------------------------------------------------------------------
-#
-# Each rule is one function (ctx, recipe, *args) -> [(lhs, rhs, rule, note)]
-# that raises PreconditionFailed when a hypothesis fails.  `apply_*` adds
-# its conclusions to a database, and the replay re-runs it on the recipe
-# the database carries.
 
 def fullgen(ctx: CardContext, r: Recipe, R: SysExpr) -> list[tuple]:
     """Dominating reals cofinally often: R <= length (= Mg = length for Polish R)."""
@@ -249,7 +213,7 @@ def fullgen(ctx: CardContext, r: Recipe, R: SysExpr) -> list[tuple]:
 def cohen_limit(ctx: CardContext, r: Recipe) -> list[tuple]:
     """Limit iterations add Cohen reals cofinally: length <= Mg."""
     if not r.slots:
-        raise PreconditionFailed("zero-length recipe")
+        raise PreconditionFailed("recipe has no slots")
     length = r.length_expr(ctx)
     if not ctx.uncountable(ctx.cf(length)):
         raise PreconditionFailed("cohen-limit needs uncountable cofinality")
@@ -265,14 +229,25 @@ def itsmallsets(ctx: CardContext, r: Recipe, R: SysExpr, theta: str) -> list[tup
     """Bookkept small-set domination: R <= C[|length| < theta]."""
     if not isinstance(R, Prs):
         raise PreconditionFailed("itsmallsets targets a Polish atom")
-    if not any(s.bookkeeping == (R.atom, theta) for s in r.slots):
+    kept = [s.iterand for s in r.slots if s.bookkeeping == (R.atom, theta)]
+    if not kept:
         raise PreconditionFailed(f"no slot bookkeeps {R.atom} up to {theta}")
+    for cls in kept:
+        if cls.size_bound != theta:
+            raise PreconditionFailed(f"{cls.token()} is not a class restricted below {theta}")
+        if R not in cls.dominates_small:
+            raise PreconditionFailed(
+                f"{cls.token()} does not add {R.atom}-dominating reals over its models")
     length = r.length_expr(ctx)
+    card = ctx.card(length)
     if not (ctx.is_regular(theta) and ctx.uncountable(theta)):
         raise PreconditionFailed(f"{theta} must be regular uncountable")
     if ctx.leq(r.cc, theta) is not True or ctx.leq(theta, ctx.cf(length)) is not True:
         raise PreconditionFailed(f"need cc <= {theta} <= cf(length)")
-    return [(R, CIdeal(ctx.card(length), theta), "forge:itsmallsets",
+    if not ctx.has_pow_lt(card, theta):
+        raise PreconditionFailed(
+            f"bookkeeping coverage at {theta} needs pow_lt({card},{theta})={card} declared")
+    return [(R, CIdeal(card, theta), "forge:itsmallsets",
              "every bookkept small set gets a dominating real, so R embeds into the covering system")]
 
 
@@ -297,18 +272,20 @@ def preEUB(ctx: CardContext, r: Recipe, R: SysExpr, theta: str) -> list[tuple]:
              "the covering system embeds into R")]
 
 
-# rule name -> the function that concludes it; a fact's params are its
-# function's arguments after the recipe, the first one rendered
-RECIPE_RULES = {
-    "forge:fullgen": fullgen, "forge:fullgen-prs": fullgen,
-    "forge:cohen-limit": cohen_limit, "forge:cohen-product": cohen_limit,
-    "forge:itsmallsets": itsmallsets, "forge:preEUB": preEUB,
-}
+RECIPE_RULES = ("forge:fullgen", "forge:fullgen-prs", "forge:cohen-limit",
+                "forge:cohen-product", "forge:itsmallsets", "forge:preEUB")
 
 
-def _add(db: FactDB, conclusions, params=(), premises=()) -> list[int]:
-    ids = [db.add(lhs, rhs, rule, premises, params, note)
-           for lhs, rhs, rule, note in conclusions]
+def _add(db: FactDB, conclusions, params=()) -> list[int]:
+    """Adds the conclusions and, below a preEUB one C[|length| < theta] <= R,
+    each regular cardinal in [theta, |length|] (`forge:preEUB-card`, citing it)."""
+    ids = []
+    for lhs, rhs, rule, note in conclusions:
+        ids.append(db.add(lhs, rhs, rule, (), params, note))
+        if rule == "forge:preEUB":
+            ids += [db.add(mu, rhs, "forge:preEUB-card", (db.id_of(lhs, rhs),), (),
+                           "each regular cardinal in [theta,|length|] embeds below R")
+                    for mu, _ in card_embed(db.ctx, lhs)]
     return [i for i in ids if i is not None]
 
 
@@ -325,25 +302,64 @@ def apply_itsmallsets(db: FactDB, r: Recipe, R: SysExpr, theta: str) -> list[int
 
 
 def apply_preEUB(db: FactDB, r: Recipe, R: SysExpr, theta: str) -> list[int]:
-    """Adds C[|length| < theta] <= R, and below it each regular cardinal in
-    [theta, |length|] (`forge:preEUB-card`, citing that fact)."""
-    conclusions = preEUB(db.ctx, r, R, theta)
-    ids = _add(db, conclusions, (render(R), theta))
-    ci = conclusions[0][0]
-    note = "each regular cardinal in [theta,|length|] embeds below R"
-    cards = [(mu, R, "forge:preEUB-card", note) for mu, _ in card_embed(db.ctx, ci)]
-    return ids + _add(db, cards, premises=(db.id_of(ci, R),))
+    return _add(db, preEUB(db.ctx, r, R, theta), (render(R), theta))
 
 
 def preeub_threshold(ctx: CardContext, r: Recipe, atom: str) -> Optional[str]:
-    """Least theta at which every slot class is theta-atom-good, if any."""
-    slot_minima = []
-    for slot in r.slots:
-        ts = slot.iterand.good_thresholds(atom)
-        if not ts:
-            return None
-        slot_minima.append(ctx.min_of(ts))
-    return ctx.max_of(slot_minima)
+    """Least theta >= cc at which every slot class is theta-atom-good, if the
+    declared order settles it.  Goodness is monotone in theta, so that is the
+    maximum of cc and each slot's least threshold."""
+    thresholds = [slot.iterand.good_thresholds(atom) for slot in r.slots]
+    if not all(thresholds):
+        return None
+    try:
+        return ctx.max_of([ctx.min_of(ts) for ts in thresholds] + [r.cc])
+    except IncomparableNames:
+        return None
+
+
+def applications(ctx: CardContext, r: Recipe, forced: str) -> list[tuple]:
+    """(label, rule, args, params) for each rule application the recipe
+    triggers, in the default order."""
+    apps = [("cohen-limit", cohen_limit, (), ())]
+    targets = dict.fromkeys(R for s in r.slots if s.cofinal for R in s.iterand.adds_dominating)
+    apps += [(f"fullgen {render(R)}", fullgen, (R,), (render(R),)) for R in targets]
+    for atom, theta in [s.bookkeeping for s in r.slots if s.bookkeeping is not None]:
+        apps.append((f"itsmallsets {atom}@{theta}", itsmallsets, (Prs(atom), theta), (atom, theta)))
+    for atom in _ALL_ATOMS:
+        theta = preeub_threshold(ctx, r, atom)
+        if theta is not None and ctx.leq(theta, forced) is True:
+            apps.append((f"preEUB {atom}@{theta}", preEUB, (Prs(atom), theta), (atom, theta)))
+    return apps
+
+
+def run_rules(ctx: CardContext, r: Recipe) -> tuple[list[str], list[tuple]]:
+    """One pass over the recipe: checks the hypotheses every application
+    shares, then calls each rule the recipe triggers once.  Returns the
+    failed hypotheses, the recipe-wide ones first, and (label, conclusions,
+    params) for each application whose hypotheses hold."""
+    try:
+        length = r.length_expr(ctx)
+        forced = ctx.card(length)
+    except (CardError, ValueError) as exc:
+        return [f"bad length: {exc}"], []
+    failures = []
+    if not (ctx.is_regular(r.cc) and ctx.uncountable(r.cc)):
+        failures.append(f"cc bound {r.cc} must be regular uncountable")
+    if not ctx.has_pow(forced, "aleph0"):
+        failures.append(f"forcing c={forced} needs pow({forced},aleph0)={forced} declared")
+    done = []
+    for label, rule, args, params in applications(ctx, r, forced):
+        try:
+            done.append((label, rule(ctx, r, *args), params))
+        except PreconditionFailed as exc:
+            failures.append(f"{label}: {exc}")
+    return failures, done
+
+
+def validate(ctx: CardContext, r: Recipe) -> list[str]:
+    """The failed hypotheses of every theorem the recipe triggers."""
+    return run_rules(ctx, r)[0]
 
 
 def run_recipe(ctx: CardContext, r: Recipe,
@@ -353,46 +369,19 @@ def run_recipe(ctx: CardContext, r: Recipe,
     `order` optionally permutes the rule applications (the closed fact set
     is the same for any order; tests exercise this confluence).
     """
-    diags = validate(ctx, r)
-    if diags:
-        raise MissingAssumption("; ".join(diags))
-    length = r.length_expr(ctx)
-    forced = ctx.card(length)
-    db = base_facts(ctx, forced)
-    db.meta["recipe"] = r
-
-    apps: list[tuple[str, object]] = []
-    apps.append(("cohen-limit", lambda db=db: apply_cohen_limit(db, r)))
-    targets = []
-    for slot in r.slots:
-        if slot.cofinal:
-            for R in slot.iterand.adds_dominating:
-                if R not in targets:
-                    targets.append(R)
-    for R in targets:
-        apps.append((f"fullgen {render(R)}",
-                     lambda db=db, R=R: apply_fullgen(db, r, R)))
-    for slot in r.slots:
-        if slot.bookkeeping is not None:
-            atom, theta = slot.bookkeeping
-            apps.append((f"itsmallsets {atom}@{theta}",
-                         lambda db=db, a=atom, t=theta: apply_itsmallsets(db, r, Prs(a), t)))
-    for atom in _ALL_ATOMS:
-        theta = preeub_threshold(ctx, r, atom)
-        if theta is not None and ctx.leq(theta, forced) is True:
-            apps.append((f"preEUB {atom}@{theta}",
-                         lambda db=db, a=atom, t=theta: apply_preEUB(db, r, Prs(a), t)))
-
+    failures, done = run_rules(ctx, r)
+    if failures:
+        raise MissingAssumption("; ".join(failures))
     if order is not None:
-        if sorted(order) != list(range(len(apps))):
+        if sorted(order) != list(range(len(done))):
             raise ForgeError("order must permute the application list")
-        apps = [apps[i] for i in order]
-    trace = []
-    for label, fn in apps:
-        fn()
-        trace.append(label)
+        done = [done[i] for i in order]
+    db = base_facts(ctx, ctx.card(r.length_expr(ctx)))
+    db.meta["recipe"] = r
+    for _, conclusions, params in done:
+        _add(db, conclusions, params)
     close(db)
-    return DerivedModel(db, constellation(db), tuple(trace))
+    return DerivedModel(db, constellation(db), tuple(label for label, _, _ in done))
 
 
 # ---------------------------------------------------------------------------
@@ -508,19 +497,17 @@ def axiom_model(ctx: CardContext, name: str, cards: Sequence[str]) -> DerivedMod
 # replay entries
 # ---------------------------------------------------------------------------
 
+def _recipe_facts(ctx: CardContext, r: Recipe) -> list[tuple]:
+    failures, done = run_rules(ctx, r)
+    if failures:
+        raise MissingAssumption("; ".join(failures))
+    return [(lhs, rhs, rule, params) for _, conclusions, params in done
+            for lhs, rhs, rule, _ in conclusions]
+
+
 @replays(*RECIPE_RULES)
 def _replay_recipe_rule(db, fid, fact):
-    if shape_only(db, fact):
-        return
-    r = db.meta.get("recipe")
-    _expect(r is not None, fid, fact, "database carries no recipe")
-    args = (parse_expr(fact.params[0]),) + tuple(fact.params[1:]) if fact.params else ()
-    try:
-        conclusions = RECIPE_RULES[fact.rule](db.ctx, r, *args)
-    except PreconditionFailed as exc:
-        _expect(False, fid, fact, f"precondition fails: {exc}")
-    _expect((fact.lhs, fact.rhs, fact.rule) in [c[:3] for c in conclusions], fid, fact,
-            "not a conclusion of the rule")
+    expect_rerun(db, fid, fact, "recipe", _recipe_facts, (ForgeError, CardError))
 
 
 @replays("forge:preEUB-card", premises=1)

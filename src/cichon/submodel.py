@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from .cards import ALEPH0, ALEPH1, CardContext, IncomparableNames
 from .diagram import Constellation, constellation, intrinsic_bounds
-from .facts import FactDB, _expect, base_facts, close, replays, shape_only
+from .facts import FactDB, base_facts, close, expect_rerun, replays
 from .forge import ForgeError, MissingAssumption, axiom_requirements
 from .systems import Card, Prod, Prs, render
 
@@ -373,18 +373,5 @@ def format_tables(ctx: CardContext, p: Plan, log: TableLog) -> str:
 
 @replays("plan:product-bound", "plan:regular-below")
 def _replay_plan(db, fid, fact):
-    if shape_only(db, fact):
-        return
-    p = db.meta.get("plan")
-    _expect(p is not None, fid, fact, "database carries no plan")
-    # one re-run per plan object, so replacing the plan invalidates it
-    ran, expected = db.meta.get("_plan_expected", (None, None))
-    if ran is not p:
-        try:
-            log = run_steps(db.ctx, p)
-        except (ForgeError, SubmodelError) as exc:
-            _expect(False, fid, fact, f"re-running the plan fails: {exc}")
-        expected = {(l, r, rule, params) for l, r, rule, params, _ in plan_facts(db.ctx, log)}
-        db.meta["_plan_expected"] = (p, expected)
-    _expect((fact.lhs, fact.rhs, fact.rule, tuple(fact.params)) in expected, fid, fact,
-            "re-running the plan does not reproduce it")
+    expect_rerun(db, fid, fact, "plan", lambda ctx, p: plan_facts(ctx, run_steps(ctx, p)),
+                 (ForgeError, SubmodelError))

@@ -27,7 +27,6 @@ from .cards import CardContext, OrdinalExpr
 PRS_ATOMS = ("Lc", "Cn", "ww", "Mg")
 ATOM_ALIASES = {"R1": "Lc", "R2": "Cn", "R3": "ww", "R4": "Mg",
                 "Lc*": "Lc", "w^w": "ww"}
-PRS_DISPLAY = {"Lc": "Lc*", "Cn": "Cn", "ww": "w^w", "Mg": "Mg"}
 
 
 class ExprError(Exception):
@@ -117,7 +116,6 @@ R1 = Prs("Lc")
 R2 = Prs("Cn")
 R3 = Prs("ww")
 R4 = Prs("Mg")
-PRS_BY_INDEX = {1: R1, 2: R2, 3: R3, 4: R4}
 
 
 def prs(token: str) -> Prs:

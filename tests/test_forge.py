@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cichon.builtins import builtin
 from cichon.cards import ALEPH1, ContextBuilder
 from cichon.diagram import pinned_values
-from cichon.facts import verify
-from cichon.forge import (COHEN, HECHLER, LOC, RANDOM,
+from cichon.facts import check_trace, verify
+from cichon.forge import (COHEN, FULL_CLASSES, HECHLER, LOC, RANDOM, SUB_MAKERS,
                           MissingAssumption, PreconditionFailed, Recipe, Slot,
                           apply_cohen_limit, apply_fullgen, apply_itsmallsets,
                           apply_preEUB, axiom_model, hechler_sub, iterand,
@@ -132,6 +134,79 @@ def test_validate_cc_exceeds_cofinality():
                slots=(Slot(HECHLER, cofinal=True),))
     diags = validate(ctx, r)
     assert any("cf(length)" in d for d in diags)
+
+
+def test_cc_above_aleph1_moves_the_preeub_threshold():
+    """Hechler is Cn-good from aleph1 on, but preEUB also needs cc <= theta,
+    so with cc lam the least usable threshold is lam."""
+    b = ContextBuilder()
+    b.card("lam", regular=True).card("kap", regular=True)
+    b.chain([ALEPH1, "lam", "kap"], strict=True)
+    b.pow("kap", "aleph0")
+    ctx = b.build()
+    r = Recipe("x", length=("kap",), cc="lam", slots=(Slot(HECHLER, cofinal=True),))
+    assert validate(ctx, r) == []
+    assert preeub_threshold(ctx, r, "Cn") == "lam"
+    model = run_recipe(ctx, r)
+    assert "preEUB Cn@lam" in model.trace
+    assert model.db.facts[model.db.id_of(CIdeal("kap", "lam"), Prs("Cn"))].rule == "forge:preEUB"
+    verify(model.db)
+    assert check_trace(ctx, model.db.trace_lines()) == len(model.db.facts)
+
+
+_NAMES = ("lam1", "lam2", "lam3", "lam4")
+_CARDS = (ALEPH1,) + _NAMES
+_ATOMS = ("Lc", "Cn", "ww", "Mg")
+
+
+@st.composite
+def _slots(draw):
+    full = st.sampled_from(sorted(FULL_CLASSES.values(), key=lambda c: c.name))
+    sub = st.builds(lambda make, theta: SUB_MAKERS[make](theta),
+                    st.sampled_from(sorted(SUB_MAKERS)), st.sampled_from(_CARDS))
+    cls = draw(full | sub)
+    bookkeeping = st.none()
+    if cls.size_bound is not None:  # mostly the bookkeeping its class can carry
+        bookkeeping |= st.just((cls.dominates_small[0].atom, cls.size_bound))
+    if draw(st.integers(0, 3)) == 0:
+        bookkeeping = st.tuples(st.sampled_from(_ATOMS), st.sampled_from(_CARDS))
+    return Slot(cls, cofinal=draw(st.booleans()), bookkeeping=draw(bookkeeping))
+
+
+@st.composite
+def _recipes(draw):
+    """A recipe over aleph1 < lam1 < ... < lam4, in a context that declares
+    a random part of pow(a,aleph0)=a and of pow_lt(a,t)=a for lam1 <= t <= a."""
+    b = ContextBuilder()
+    for name in _NAMES:
+        b.card(name, regular=True)
+    b.chain(_CARDS, strict=True)
+    for a in _CARDS:
+        if draw(st.booleans()):
+            b.pow(a, "aleph0")
+        for t in _CARDS[1:_CARDS.index(a) + 1]:
+            if draw(st.booleans()):
+                b.pow_lt(a, t)
+    r = Recipe("random",
+               length=tuple(draw(st.lists(st.sampled_from(_CARDS), min_size=1, max_size=2))),
+               cc=draw(st.sampled_from(_CARDS + ("aleph0",))),
+               slots=tuple(draw(st.lists(_slots(), min_size=1, max_size=4))))
+    return b.build(), r
+
+
+@settings(max_examples=200, deadline=None)
+@given(_recipes())
+def test_run_recipe_derives_exactly_what_validate_accepts(case):
+    ctx, r = case
+    diags = validate(ctx, r)
+    try:
+        model = run_recipe(ctx, r)
+    except MissingAssumption:
+        assert diags
+        return
+    assert diags == []
+    verify(model.db)
+    assert check_trace(ctx, model.db.trace_lines()) == len(model.db.facts)
 
 
 def test_apply_fullgen_preconditions():

@@ -188,3 +188,55 @@ def test_verify_rechecks_the_plan_hypotheses():
     db.meta["plan"] = dataclasses.replace(plan, steps=plan.steps[:-1] + (final,))
     with pytest.raises(ReplayError, match="sigma-closed"):
         verify(db)
+
+
+def test_verify_rechecks_the_recipe_hypotheses():
+    """A bookkeeping slot whose class adds no Lc-dominating reals: itsmallsets
+    refuses it, so the replay of the recipe's facts does too."""
+    from cichon.forge import random_sub
+    db = derive("mod1")
+    verify(db)
+    recipe = db.meta["recipe"]
+    slots = tuple(dataclasses.replace(s, iterand=random_sub("lam1"))
+                  if s.bookkeeping == ("Lc", "lam1") else s for s in recipe.slots)
+    db.meta["recipe"] = dataclasses.replace(recipe, slots=slots)
+    with pytest.raises(ReplayError, match="Lc-dominating"):
+        verify(db)
+
+
+def test_verify_rechecks_the_recipe_wide_hypotheses():
+    """The hechler recipe applied rule by rule in a context that does not
+    declare pow(lam,aleph0), so the continuum is not forced to lam."""
+    from cichon.facts import base_facts
+    from cichon.forge import apply_cohen_limit, apply_fullgen, apply_preEUB
+    from cichon.systems import Prs
+    b = ContextBuilder()
+    b.card("lam", regular=True)
+    b.lt(ALEPH1, "lam")
+    ctx = b.build()
+    r = builtin("hechler").recipe
+    db = base_facts(ctx, "lam")
+    db.meta["recipe"] = r
+    apply_cohen_limit(db, r)
+    apply_fullgen(db, r, Prs("ww"))
+    apply_preEUB(db, r, Prs("Cn"), ALEPH1)
+    close(db)
+    with pytest.raises(ReplayError, match=r"pow\(lam,aleph0\)"):
+        verify(db)
+
+
+# -- a malformed trace ends in ReplayError -----------------------------------
+
+@pytest.mark.parametrize("rule,old,new,where", [
+    ("rule:card-embed", "C[lam5<aleph1]", "C[zzz<aleph1]", "fact"),   # undeclared name
+    ("seed:diagram", "idl(N)", "idl(Q)", "trace line"),               # unknown ideal
+    ("seed:diagram", "C[lam5<aleph1]", "C[lam1<lam5]", "fact"),       # theta above index
+], ids=["undeclared-cardinal", "unknown-ideal", "theta-above-index"])
+def test_check_trace_bad_expression(rule, old, new, where):
+    db = derive("mod1")
+    lines = db.trace_lines()
+    k = next(k for k, ln in enumerate(lines) if f"[{rule}; " in ln and old in ln)
+    lines[k] = lines[k].replace(old, new, 1)
+    number = k + 1 if where == "trace line" else k
+    with pytest.raises(ReplayError, match=rf"^{where} {number}:"):
+        check_trace(db.ctx, lines)
