@@ -15,6 +15,13 @@ up (with monotone weakening, e.g. a^{<b} = a yields a^{<b'} = a for
 b' <= b), never derived.  Comparisons are tri-state: queries that the
 declared order does not settle come back as ``None`` rather than failing.
 
+The order is closed once, when the context is built.  Each name has its
+position in context order, and row i of the closure is an ``int`` bitmask:
+``_up[i]`` holds the names j with names[i] <= names[j] (one Warshall pass
+over the le/lt/succ edges), and ``_strict[i]`` those with names[i] <= u < v
+<= names[j] for a declared u < v.  Every order query tests bits of these
+rows; a name whose ``_strict`` row holds itself is a strict cycle.
+
 Ordinal expressions are restricted to finite products of regular
 cardinals, the only iteration lengths the engines ever build; their
 cofinality is the last factor and their cardinality the largest one.
@@ -85,21 +92,19 @@ class CardContext:
     def __init__(self, declarations: Sequence[Declaration]):
         self.declarations = tuple(declarations)
         self.names: list[str] = []
+        self._pos: dict[str, int] = {}
         self._regular: set[str] = set()
-        self._pow_lt: set[tuple[str, str]] = set()
-        self._pow: set[tuple[str, str]] = set()
-        self._inaccessible: set[tuple[str, str]] = set()
+        # kind -> a -> [b, ...] for each declared kind(a, b)
+        self._assumed: dict[str, dict[str, list[str]]] = {
+            "pow_lt": {}, "pow": {CONTINUUM: [ALEPH0]},  # c^aleph0 = c holds in ZFC
+            "inaccessible": {}}
         self._succ: dict[str, str] = {}
-        le_edges: list[tuple[str, str]] = []
-        lt_edges: list[tuple[str, str]] = []
 
         self._declare(ALEPH0, regular=True)
         self._declare(ALEPH1, regular=True)
         self._declare(CONTINUUM, regular=False)
-        le_edges.append((ALEPH0, ALEPH1))
-        lt_edges.append((ALEPH0, ALEPH1))
-        le_edges.append((ALEPH1, CONTINUUM))
-        self._pow.add((CONTINUUM, ALEPH0))  # c^aleph0 = c holds in ZFC
+        # (i, j, strict): names[i] <= names[j], or < when strict
+        edges = [(0, 1, True), (1, 2, False)]  # aleph0 < aleph1 <= c
 
         for decl in declarations:
             kind = decl[0]
@@ -111,86 +116,58 @@ class CardContext:
                         self._regular.add(name)
                     continue
                 self._declare(name, regular=regular)
-            elif kind == "le":
-                _, a, b = decl
-                self._need(a), self._need(b)
-                le_edges.append((a, b))
-            elif kind == "lt":
-                _, a, b = decl
-                self._need(a), self._need(b)
-                le_edges.append((a, b))
-                lt_edges.append((a, b))
-            elif kind == "pow_lt":
-                _, a, b = decl
-                self._need(a), self._need(b)
-                self._pow_lt.add((a, b))
-            elif kind == "pow":
-                _, a, b = decl
-                self._need(a), self._need(b)
-                self._pow.add((a, b))
-            elif kind == "inaccessible":
-                _, a, b = decl
-                self._need(a), self._need(b)
-                self._inaccessible.add((a, b))
-            elif kind == "succ":
-                _, a, b = decl
-                self._need(a), self._need(b)
-                self._succ[a] = b
-                le_edges.append((a, b))
-                lt_edges.append((a, b))
-            else:
+                continue
+            if kind not in ("le", "lt", "succ") and kind not in self._assumed:
                 raise ValueError(f"unknown declaration kind {kind!r}")
+            _, a, b = decl
+            i, j = self.check(a), self.check(b)
+            if kind in self._assumed:
+                self._assumed[kind].setdefault(a, []).append(b)
+                continue
+            edges.append((i, j, kind != "le"))
+            if kind == "succ":
+                self._succ[a] = b
 
-        self._le = self._close(le_edges)
-        self._lt = self._strict_close(le_edges, lt_edges)
-        for name in self.names:
-            if (name, name) in self._lt:
+        # _up[i]: names j with names[i] <= names[j] (Warshall closure)
+        n = len(self.names)
+        up = [1 << i for i in range(n)]
+        for i, j, _ in edges:
+            up[i] |= 1 << j
+        for k in range(n):
+            for i in range(n):
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
+        # _strict[i]: names j with names[i] <= u < v <= names[j] for a declared u < v
+        strict = [0] * n
+        for u, v, is_strict in edges:
+            if is_strict:
+                for i in range(n):
+                    if up[i] >> u & 1:
+                        strict[i] |= up[v]
+        self._up, self._strict = up, strict
+        for i, name in enumerate(self.names):
+            if strict[i] >> i & 1:
                 raise OrderCycle(f"strict cycle through {name}")
 
-    # -- construction helpers ------------------------------------------------
-
     def _declare(self, name: str, regular: bool):
-        if name in self.names:
+        if name in self._pos:
             raise DuplicateName(name)
+        self._pos[name] = len(self.names)
         self.names.append(name)
         if regular:
             self._regular.add(name)
 
-    def _need(self, name: str):
-        if name not in self.names:
-            raise UnknownName(name)
-
-    def _close(self, edges):
-        reach = {(n, n) for n in self.names}
-        reach.update(edges)
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(reach):
-                for (c, d) in list(reach):
-                    if b == c and (a, d) not in reach:
-                        reach.add((a, d))
-                        changed = True
-        return frozenset(reach)
-
-    def _strict_close(self, le_edges, lt_edges):
-        le = self._close(le_edges)
-        strict = set()
-        for (u, v) in lt_edges:
-            for a in self.names:
-                for b in self.names:
-                    if (a, u) in le and (v, b) in le:
-                        strict.add((a, b))
-        return frozenset(strict)
-
     # -- queries -------------------------------------------------------------
 
     def has(self, name: str) -> bool:
-        return name in self.names
+        return name in self._pos
 
-    def check(self, name: str):
-        if name not in self.names:
-            raise UnknownName(name)
+    def check(self, name: str) -> int:
+        """Position of a declared name in context order."""
+        try:
+            return self._pos[name]
+        except KeyError:
+            raise UnknownName(name) from None
 
     def is_regular(self, name: str) -> bool:
         self.check(name)
@@ -198,18 +175,18 @@ class CardContext:
 
     def leq(self, a: str, b: str) -> Optional[bool]:
         """True if a <= b is derivable, False if b < a is, else None."""
-        self.check(a), self.check(b)
-        if (a, b) in self._le:
+        i, j = self.check(a), self.check(b)
+        if self._up[i] >> j & 1:
             return True
-        if (b, a) in self._lt:
+        if self._strict[j] >> i & 1:
             return False
         return None
 
     def lt(self, a: str, b: str) -> Optional[bool]:
-        self.check(a), self.check(b)
-        if (a, b) in self._lt:
+        i, j = self.check(a), self.check(b)
+        if self._strict[i] >> j & 1:
             return True
-        if (b, a) in self._le:
+        if self._up[j] >> i & 1:
             return False
         return None
 
@@ -220,62 +197,64 @@ class CardContext:
         """Equal as cardinals: identical or ordered both ways."""
         return a == b or (self.leq(a, b) is True and self.leq(b, a) is True)
 
+    def canon(self, name: str) -> str:
+        """The first declared name equal to `name` as a cardinal."""
+        j = self.check(name)
+        return next(n for i, n in enumerate(self.names)
+                    if self._up[i] >> j & 1 and self._up[j] >> i & 1)
+
     def succ_of(self, name: str) -> Optional[str]:
         self.check(name)
         return self._succ.get(name)
 
+    def _assumes(self, kind: str, a: str, b: str, strict: bool = False) -> bool:
+        """Is kind(a, y) declared for some y >= b (y > b when strict)?"""
+        self.check(a), self.check(b)
+        above = self.lt if strict else self.leq
+        return any(above(b, y) is True for y in self._assumed[kind].get(a, ()))
+
     def has_pow_lt(self, a: str, b: str) -> bool:
         """Is a^{<b} = a declared (up to weakening the exponent)?"""
-        self.check(a), self.check(b)
-        return any(x == a and self.leq(b, y) is True for (x, y) in self._pow_lt)
+        return self._assumes("pow_lt", a, b)
 
     def has_pow(self, a: str, b: str) -> bool:
         """Is a^b = a declared, directly or via a^{<b'} = a with b < b'?"""
-        self.check(a), self.check(b)
-        if any(x == a and self.leq(b, y) is True for (x, y) in self._pow):
-            return True
-        return any(x == a and self.lt(b, y) is True for (x, y) in self._pow_lt)
+        return self._assumes("pow", a, b) or self._assumes("pow_lt", a, b, strict=True)
 
     def has_inaccessible(self, a: str, b: str) -> bool:
-        self.check(a), self.check(b)
-        return any(x == a and self.leq(b, y) is True for (x, y) in self._inaccessible)
+        return self._assumes("inaccessible", a, b)
 
     def regulars_between(self, lo: str, hi: str) -> list[str]:
         """Declared regular names mu with lo <= mu <= hi, in context order."""
-        return [n for n in self.names
-                if n in self._regular
-                and self.leq(lo, n) is True and self.leq(n, hi) is True]
+        i, j = self.check(lo), self.check(hi)
+        return [n for k, n in enumerate(self.names)
+                if n in self._regular and self._up[i] >> k & 1 and self._up[k] >> j & 1]
 
     def sorted_names(self, names: Iterable[str]) -> list[str]:
         """Sort by the declared order (ties broken by declaration order)."""
+        pool = [self.check(n) for n in dict.fromkeys(names)]
+
+        def key(j):
+            return (sum(1 for i in pool if self._up[i] >> j & 1), j)
+
+        return [self.names[j] for j in sorted(pool, key=key)]
+
+    def _extreme(self, names: Iterable[str], upper: bool) -> str:
         pool = list(dict.fromkeys(names))
-        for n in pool:
-            self.check(n)
-
-        def key(n):
-            below = sum(1 for m in pool if self.leq(m, n) is True)
-            return (below, self.names.index(n))
-
-        return sorted(pool, key=key)
+        if not pool:
+            raise ValueError(f"{'max' if upper else 'min'} of empty set")
+        pos = [self.check(n) for n in pool]
+        for cand, j in zip(pool, pos):
+            if all((self._up[i] >> j if upper else self._up[j] >> i) & 1 for i in pos):
+                return cand
+        raise IncomparableNames(f"no {'maximum' if upper else 'minimum'} among {pool}")
 
     def max_of(self, names: Iterable[str]) -> str:
         """The <=-maximum of a set of names; IncomparableNames if none dominates."""
-        pool = list(dict.fromkeys(names))
-        if not pool:
-            raise ValueError("max of empty set")
-        for cand in pool:
-            if all(self.leq(other, cand) is True for other in pool):
-                return cand
-        raise IncomparableNames(f"no maximum among {pool}")
+        return self._extreme(names, upper=True)
 
     def min_of(self, names: Iterable[str]) -> str:
-        pool = list(dict.fromkeys(names))
-        if not pool:
-            raise ValueError("min of empty set")
-        for cand in pool:
-            if all(self.leq(cand, other) is True for other in pool):
-                return cand
-        raise IncomparableNames(f"no minimum among {pool}")
+        return self._extreme(names, upper=False)
 
     # -- ordinal expressions ---------------------------------------------------
 

@@ -71,46 +71,24 @@ class Interval:
         return f"[{self.lo or '?'}, {self.hi or '?'}]"
 
 
-def _canon(ctx: CardContext, name: Optional[str]) -> Optional[str]:
-    """First declared name of the alias class, so equal cardinals compare
-    equal as interval endpoints."""
-    if name is None:
-        return None
-    for other in ctx.names:
-        if ctx.same(other, name):
-            return other
-    return name
-
-
-def _sup(ctx: CardContext, names: list[str]) -> Optional[str]:
-    """Largest candidate (all are valid lower bounds); maximal one, first
-    in context order if several are mutually incomparable."""
-    pool = [n for n in dict.fromkeys(names)]
+def _extreme(ctx: CardContext, names: list[str], upper: bool) -> Optional[str]:
+    """Largest (upper) or least candidate, as the first declared name equal
+    to it, so equal cardinals compare equal as interval endpoints; if none
+    dominates the rest, the first maximal (minimal) one in context order."""
+    pool = sorted(dict.fromkeys(names), key=ctx.check)
     if not pool:
         return None
-    maximal = [n for n in pool
-               if not any(ctx.lt(n, m) is True for m in pool if m != n)]
-    for cand in sorted(maximal, key=ctx.names.index):
-        if all(ctx.leq(m, cand) is True for m in pool):
-            return _canon(ctx, cand)
-    return _canon(ctx, sorted(maximal, key=ctx.names.index)[0])
-
-
-def _inf(ctx: CardContext, names: list[str]) -> Optional[str]:
-    pool = [n for n in dict.fromkeys(names)]
-    if not pool:
-        return None
-    minimal = [n for n in pool
-               if not any(ctx.lt(m, n) is True for m in pool if m != n)]
-    for cand in sorted(minimal, key=ctx.names.index):
-        if all(ctx.leq(cand, m) is True for m in pool):
-            return _canon(ctx, cand)
-    return _canon(ctx, sorted(minimal, key=ctx.names.index)[0])
+    try:
+        best = (ctx.max_of if upper else ctx.min_of)(pool)
+    except IncomparableNames:
+        best = next(n for n in pool if not any(
+            (ctx.lt(n, m) if upper else ctx.lt(m, n)) is True for m in pool))
+    return ctx.canon(best)
 
 
 def _meet(ctx, a: Interval, b: Interval) -> Interval:
-    lo = _sup(ctx, [x for x in (a.lo, b.lo) if x is not None])
-    hi = _inf(ctx, [x for x in (a.hi, b.hi) if x is not None])
+    lo = _extreme(ctx, [x for x in (a.lo, b.lo) if x is not None], upper=True)
+    hi = _extreme(ctx, [x for x in (a.hi, b.hi) if x is not None], upper=False)
     return Interval(lo, hi)
 
 
@@ -203,8 +181,8 @@ def value_bounds(db: FactDB, e: SysExpr) -> tuple[Interval, Interval]:
                     b_hi.append(vb.hi)   # b(e) <= b(lhs)
                 if vd.lo is not None:
                     d_lo.append(vd.lo)   # d(e) >= d(lhs)
-    b = Interval(_sup(ctx, b_lo), _inf(ctx, b_hi))
-    d = Interval(_sup(ctx, d_lo), _inf(ctx, d_hi))
+    b = Interval(_extreme(ctx, b_lo, upper=True), _extreme(ctx, b_hi, upper=False))
+    d = Interval(_extreme(ctx, d_lo, upper=True), _extreme(ctx, d_hi, upper=False))
     for iv, what in ((b, "b"), (d, "d")):
         if iv.lo is not None and iv.hi is not None and ctx.leq(iv.lo, iv.hi) is False:
             raise InconsistentBounds(f"{what}({render(e)}) in {iv}")

@@ -27,7 +27,7 @@ TOP = math.inf
 
 DEFAULT_BD_LIMIT = 12                # carrier bound for the exact b/d solvers
 DEFAULT_SIZE_LIMIT = 1_000_000       # cells in a product system
-DEFAULT_SEARCH_LIMIT = 100_000_000   # |X'|^|X| * |Y|^|Y'| for tukey_search
+DEFAULT_SEARCH_LIMIT = 100_000_000   # |X'|^|X| psi_minus leaves for tukey_search
 
 
 class FiniteError(Exception):
@@ -254,7 +254,7 @@ def tukey_search(R: FinSys, R2: FinSys,
     enumerated lexicographically with per-response candidate pruning, so
     the returned witness is reproducible.
     """
-    space = R2.x_size ** R.x_size * R.y_size ** R2.y_size
+    space = R2.x_size ** R.x_size  # psi_plus is derived, not enumerated
     if space > search_limit:
         raise SearchSpaceTooLarge(f"{space} > {search_limit}")
 

@@ -324,10 +324,17 @@ def applications(ctx: CardContext, r: Recipe, forced: str) -> list[tuple]:
     apps = [("cohen-limit", cohen_limit, (), ())]
     targets = dict.fromkeys(R for s in r.slots if s.cofinal for R in s.iterand.adds_dominating)
     apps += [(f"fullgen {render(R)}", fullgen, (R,), (render(R),)) for R in targets]
-    for atom, theta in [s.bookkeeping for s in r.slots if s.bookkeeping is not None]:
+    for atom, theta in dict.fromkeys(s.bookkeeping for s in r.slots if s.bookkeeping is not None):
         apps.append((f"itsmallsets {atom}@{theta}", itsmallsets, (Prs(atom), theta), (atom, theta)))
     for atom in _ALL_ATOMS:
         theta = preeub_threshold(ctx, r, atom)
+        if theta is not None and not ctx.is_regular(theta):
+            # goodness is monotone in theta: use the least regular above it
+            regulars = ctx.regulars_between(theta, forced)
+            try:
+                theta = ctx.min_of(regulars) if regulars else None
+            except IncomparableNames:  # the order does not settle the least one
+                theta = None
         if theta is not None and ctx.leq(theta, forced) is True:
             apps.append((f"preEUB {atom}@{theta}", preEUB, (Prs(atom), theta), (atom, theta)))
     return apps

@@ -149,7 +149,7 @@ def step(states: Sequence[SysState], c: ChainSpec, ctx: CardContext
                 f"final width {c.width} does not dominate system {sysno} (d={st.d})")
 
         stays, collapsed = [], False
-        for mu in sorted(st.below, key=ctx.names.index):
+        for mu in sorted(st.below, key=ctx.check):
             q = ctx.leq(mu, c.width)
             if q is True:
                 stays.append(mu)
@@ -293,7 +293,7 @@ def plan_facts(ctx: CardContext, log: TableLog) -> list[tuple]:
         R = Prs(PRS_ORDER[i - 1])
         out.append((R, log.product_bounds[i], "plan:product-bound", (i,),
                     "the intersected system embeds into the product of the chain lengths"))
-        for mu in sorted(final_states[i - 1].below, key=ctx.names.index):
+        for mu in sorted(final_states[i - 1].below, key=ctx.check):
             out.append((Card(mu), R, "plan:regular-below", (i, mu),
                         "the chain lengths stay Tukey-below the intersected system"))
     return out

@@ -86,7 +86,8 @@ _HEADER = re.compile(r"(context|recipe|plan|assign)\b\s*([A-Za-z0-9_]*)\s*\{")
 
 
 def _blocks(text: str):
-    """Yield (kind, name, [(line, statement)]); whitespace-insensitive."""
+    """Yield (kind, name, header line, [(line, statement)]);
+    whitespace-insensitive."""
     src = "\n".join(ln.split("#", 1)[0] for ln in text.splitlines())
 
     def lineof(p: int) -> int:
@@ -117,7 +118,7 @@ def _blocks(text: str):
                 lead = len(part) - len(part.lstrip())
                 body.append((lineof(cursor + lead), stmt))
             cursor += len(part) + 1
-        yield kind, name, body
+        yield kind, name, lineof(m.start()), body
         pos = end + 1
 
 
@@ -273,9 +274,10 @@ def parse(text: str) -> RecipeFile:
     rf = RecipeFile()
     plan_fixups = []
     block_lines = {}
-    for kind, name, body in _blocks(text):
-        first_line = body[0][0] if body else 1
-        block_lines[(kind, name)] = first_line
+    for kind, name, header, body in _blocks(text):
+        if (kind, name) in block_lines and kind != "context":
+            raise ParseError(f"duplicate {kind} block {name}", header)
+        block_lines[(kind, name)] = body[0][0] if body else 1
         if kind == "context":
             rf.context = rf.context + _parse_context(body)
         elif kind == "recipe":

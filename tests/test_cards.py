@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from cichon.cards import (ALEPH0, ALEPH1, ContextBuilder,
+from cichon.cards import (ALEPH0, ALEPH1, CONTINUUM, CardContext, ContextBuilder,
                           DuplicateName, IncomparableFactors,
                           IncomparableNames, NonRegularFactor, OrderCycle,
                           UnknownName)
@@ -151,3 +153,136 @@ def test_regulars_between_and_sorting():
     assert ctx.regulars_between("th3", "thinf") == ["th3", "th4m", "th4", "thinf"]
     shuffled = ["th4", "lam1b", "thinf", "lam4d"]
     assert ctx.sorted_names(shuffled) == ["lam1b", "lam4d", "th4", "thinf"]
+
+
+# -- reference: the pair-set closure the context used before its bitmask rows --
+
+def _close(names, edges):
+    reach = {(n, n) for n in names}
+    reach.update(edges)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(reach):
+            for (c, d) in list(reach):
+                if b == c and (a, d) not in reach:
+                    reach.add((a, d))
+                    changed = True
+    return frozenset(reach)
+
+
+def _strict_close(names, le_edges, lt_edges):
+    le = _close(names, le_edges)
+    strict = set()
+    for (u, v) in lt_edges:
+        for a in names:
+            for b in names:
+                if (a, u) in le and (v, b) in le:
+                    strict.add((a, b))
+    return frozenset(strict)
+
+
+class _Reference:
+    """Every order query answered by scanning pair sets."""
+
+    def __init__(self, decls):
+        builtin = [ALEPH0, ALEPH1, CONTINUUM]
+        self.names = builtin + [n for k, n, _ in decls if k == "card" and n not in builtin]
+        self.regular = {ALEPH0, ALEPH1} | {n for k, n, r in decls if k == "card" and r}
+        le_edges = [(ALEPH0, ALEPH1), (ALEPH1, CONTINUUM)]
+        le_edges += [(a, b) for k, a, b in decls if k in ("le", "lt", "succ")]
+        lt_edges = [(ALEPH0, ALEPH1)] + [(a, b) for k, a, b in decls if k in ("lt", "succ")]
+        self.le = _close(self.names, le_edges)
+        self.lt_pairs = _strict_close(self.names, le_edges, lt_edges)
+        self.cycle = any((n, n) in self.lt_pairs for n in self.names)
+        self.assumed = [(k, a, b) for k, a, b in decls if k in ("pow_lt", "pow", "inaccessible")]
+        self.assumed.append(("pow", CONTINUUM, ALEPH0))
+
+    def leq(self, a, b):
+        return True if (a, b) in self.le else False if (b, a) in self.lt_pairs else None
+
+    def lt(self, a, b):
+        return True if (a, b) in self.lt_pairs else False if (b, a) in self.le else None
+
+    def has(self, kind, a, b, strict=False):
+        above = self.lt if strict else self.leq
+        return any(k == kind and x == a and above(b, y) is True for k, x, y in self.assumed)
+
+    def extreme(self, pool, upper):
+        for cand in pool:
+            if all((self.leq(o, cand) if upper else self.leq(cand, o)) is True for o in pool):
+                return cand
+        return None
+
+
+def _random_decls(rng):
+    """About 8 names with le/lt/succ edges, mostly along a hidden ranking;
+    a backward le or an le both ways makes an alias, a backward lt or succ
+    may close a strict cycle."""
+    own = [f"n{i}" for i in range(rng.randint(4, 9))]
+    decls = [("card", n, rng.random() < 0.6) for n in own]
+    if rng.random() < 0.2:
+        decls.append(("card", CONTINUUM, True))
+    names = [ALEPH0, ALEPH1, CONTINUUM] + own
+    rank = {n: rng.random() for n in own}
+    rank.update({ALEPH0: -2, ALEPH1: -1, CONTINUUM: rng.random()})
+    for _ in range(rng.randint(0, 12)):
+        a, b = rng.sample(names, 2)
+        if rank[a] > rank[b] and rng.random() < 0.85:
+            a, b = b, a
+        decls.append((rng.choice(("le", "le", "lt", "lt", "succ")), a, b))
+    if rng.random() < 0.3:
+        a, b = rng.sample(own, 2)
+        decls += [("le", a, b), ("le", b, a)]
+    for _ in range(rng.randint(0, 5)):
+        decls.append((rng.choice(("pow_lt", "pow", "inaccessible")), *rng.sample(names, 2)))
+    return decls
+
+
+def test_order_matches_pair_set_closure():
+    rng = random.Random(2026)
+    cycles = aliased = 0
+    for _ in range(300):
+        decls = _random_decls(rng)
+        ref = _Reference(decls)
+        if ref.cycle:
+            cycles += 1
+            with pytest.raises(OrderCycle):
+                CardContext(decls)
+            continue
+        ctx = CardContext(decls)
+        assert ctx.names == ref.names
+        aliased += any(ctx.canon(n) != n for n in ctx.names)
+        for a in ctx.names:
+            assert ctx.canon(a) == next(n for n in ref.names
+                                        if ref.leq(a, n) is True and ref.leq(n, a) is True)
+            for b in ctx.names:
+                assert ctx.leq(a, b) is ref.leq(a, b), (decls, a, b)
+                assert ctx.lt(a, b) is ref.lt(a, b), (decls, a, b)
+                assert ctx.regulars_between(a, b) == [
+                    n for n in ref.names if n in ref.regular
+                    and ref.leq(a, n) is True and ref.leq(n, b) is True]
+                assert ctx.has_pow_lt(a, b) == ref.has("pow_lt", a, b)
+                assert ctx.has_pow(a, b) == (ref.has("pow", a, b)
+                                             or ref.has("pow_lt", a, b, strict=True))
+                assert ctx.has_inaccessible(a, b) == ref.has("inaccessible", a, b)
+        for _ in range(5):
+            pool = rng.sample(ctx.names, rng.randint(1, 4))
+            for upper, pick in ((True, ctx.max_of), (False, ctx.min_of)):
+                want = ref.extreme(pool, upper)
+                if want is None:
+                    with pytest.raises(IncomparableNames):
+                        pick(pool)
+                else:
+                    assert pick(pool) == want
+    assert cycles >= 20 and aliased >= 20, (cycles, aliased)
+
+
+def test_check_returns_position():
+    ctx = section5_ctx()
+    assert [ctx.check(n) for n in ctx.names] == list(range(len(ctx.names)))
+    assert ctx.canon("lam1b") == "lam1b"
+    alias = ContextBuilder().card("a").card("b").le("b", "a").le("a", "b").build()
+    assert alias.canon("b") == "a" and alias.has("b") and not alias.has("z")
+    with pytest.raises(UnknownName):
+        alias.check("z")

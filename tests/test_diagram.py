@@ -2,7 +2,7 @@ import pytest
 
 from cichon.cards import ALEPH1, ContextBuilder
 from cichon.diagram import (ARROWS, ENTRIES, InconsistentBounds, Interval,
-                            check_assignment, cofinality_lint, constellation,
+                            _extreme, check_assignment, cofinality_lint, constellation,
                             format_constellation, intrinsic_bounds,
                             pinned_values, to_dot, value_bounds)
 from cichon.facts import REPLAY, base_facts, close
@@ -137,3 +137,18 @@ def test_cofinality_lint_quiet_on_sane_values():
         db.add(CIdeal("lam", ALEPH1), r, "axiom:test", note="t")
     close(db)
     assert cofinality_lint(ctx, constellation(db)) == []
+
+
+def test_interval_endpoints():
+    """The dominating candidate as its first declared equal; with none, the
+    first maximal (minimal) candidate in context order."""
+    b = ContextBuilder().card("a").card("b").card("a2").card("top")
+    b.lt(ALEPH1, "a").lt(ALEPH1, "b").le("a", "a2").le("a2", "a")
+    ctx = b.lt("a", "top").lt("b", "top").build()
+    assert _extreme(ctx, [], upper=True) is None
+    assert _extreme(ctx, [ALEPH1, "a2"], upper=True) == "a"
+    assert _extreme(ctx, ["top", "a2"], upper=False) == "a"
+    assert _extreme(ctx, ["a2", "b", "top"], upper=True) == "top"
+    assert _extreme(ctx, ["a2", "b"], upper=True) == "b"
+    assert _extreme(ctx, ["a2", "b", ALEPH1], upper=True) == "b"
+    assert _extreme(ctx, ["top", "a2", "b"], upper=False) == "b"

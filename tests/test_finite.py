@@ -148,6 +148,30 @@ def test_search_is_exhaustive_small():
             assert found.validates(R, R2)
 
 
+def connects_brute(R, R2) -> bool:
+    """Is there a connection R -> R2?  Every psi_minus, each answered by
+    some psi_plus(y2) that bounds every x sent into y2's cone."""
+    from itertools import product as iproduct
+    for minus in iproduct(range(R2.x_size), repeat=R.x_size):
+        if all(any(all(R.rel(x, y) for x in range(R.x_size) if R2.rel(minus[x], y2))
+                   for y in range(R.y_size))
+               for y2 in range(R2.y_size)):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("small,large", [((5, 2), (6, 3)), ((6, 3), (7, 3))])
+def test_search_guard_counts_psi_minus_only(small, large):
+    # psi_plus is derived, so only |X'|^|X| leaves are enumerated: both
+    # searches run at the default limit (|Y|^|Y'| alone is 6^22 and 22^29)
+    R, R2 = ideal_systems(*small)[1], ideal_systems(*large)[1]
+    found = tukey_search(R, R2)
+    assert (found is not None) == connects_brute(R, R2)
+    if found is not None:
+        assert found.validates(R, R2)
+    assert (found is None) == (small == (5, 2))
+
+
 @given(systems(max_x=3, max_y=3), systems(max_x=3, max_y=3))
 @settings(max_examples=60, deadline=None)
 def test_morphism_consequences(R, R2):

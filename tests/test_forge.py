@@ -154,6 +154,53 @@ def test_cc_above_aleph1_moves_the_preeub_threshold():
     assert check_trace(ctx, model.db.trace_lines()) == len(model.db.facts)
 
 
+def test_singular_preeub_threshold_moves_to_least_regular():
+    """A class restricted below a singular mu is mu-good, so by monotonicity
+    lam-good for the least regular lam above mu; the recipe must derive."""
+    b = ContextBuilder()
+    b.card("mu").card("lam", regular=True)
+    b.chain([ALEPH1, "mu", "lam"], strict=True)
+    b.pow("lam", "aleph0")
+    ctx = b.build()
+    r = Recipe("x", length=("lam",),
+               slots=(Slot(COHEN, cofinal=True), Slot(hechler_sub("mu"))))
+    assert preeub_threshold(ctx, r, "ww") == "mu"
+    assert validate(ctx, r) == []
+    model = run_recipe(ctx, r)
+    assert "preEUB ww@lam" in model.trace and "preEUB Mg@lam" in model.trace
+    assert model.db.facts[model.db.id_of(CIdeal("lam", "lam"), Prs("ww"))].rule == "forge:preEUB"
+    verify(model.db)
+    assert check_trace(ctx, model.db.trace_lines()) == len(model.db.facts)
+
+
+def test_singular_preeub_threshold_without_regular_above_is_skipped():
+    b = ContextBuilder()
+    b.card("mu").card("lam", regular=True)
+    b.lt(ALEPH1, "lam").lt(ALEPH1, "mu")  # mu and lam incomparable
+    b.pow("lam", "aleph0")
+    ctx = b.build()
+    r = Recipe("x", length=("lam",),
+               slots=(Slot(COHEN, cofinal=True), Slot(hechler_sub("mu"))))
+    assert validate(ctx, r) == []
+    assert not any(label.startswith(("preEUB ww", "preEUB Mg"))
+                   for label in run_recipe(ctx, r).trace)
+
+
+def test_repeated_bookkeeping_is_one_application():
+    b = ContextBuilder()
+    b.card("lam", regular=True).lt(ALEPH1, "lam").pow("lam", "aleph0")
+    slot = Slot(loc_sub("lam"), bookkeeping=("Lc", "lam"))
+    r = Recipe("x", length=("lam",), slots=(Slot(COHEN, cofinal=True), slot, slot))
+    failures = validate(b.build(), r)
+    assert [f for f in failures if f.startswith("itsmallsets Lc@lam")] == [
+        "itsmallsets Lc@lam: bookkeeping coverage at lam needs pow_lt(lam,lam)=lam declared"]
+    ctx = b.pow_lt("lam", "lam").build()
+    model = run_recipe(ctx, r)
+    assert model.trace.count("itsmallsets Lc@lam") == 1
+    verify(model.db)
+    assert check_trace(ctx, model.db.trace_lines()) == len(model.db.facts)
+
+
 _NAMES = ("lam1", "lam2", "lam3", "lam4")
 _CARDS = (ALEPH1,) + _NAMES
 _ATOMS = ("Lc", "Cn", "ww", "Mg")

@@ -97,3 +97,24 @@ def test_assignment_unknown_entry():
 def test_recipe_without_length():
     with pytest.raises(ParseError):
         parse("context { card lam regular; }\nrecipe r { cc aleph1; }\n")
+
+
+@pytest.mark.parametrize("kind", ["recipe", "plan", "assign"])
+def test_second_block_of_one_kind_and_name_is_rejected(kind):
+    rf = builtin_file("mod1" if kind == "recipe" else "cichon_max")
+    text = render_file(rf, rf.ctx())
+    name = {"recipe": "mod1", "plan": "cichon_max", "assign": "cichon_max_bottom"}[kind]
+    start = text.index(f"{kind} {name} {{")
+    block = text[start:text.index("}", start) + 2]
+    if kind == "plan":  # the first block's succ(th4m) must not reach this one
+        block = block.replace("(lam4d, succ(th4m), th4)", "(lam4d, th3, th4)")
+    with pytest.raises(ParseError) as err:
+        parse(text + block)
+    assert f"line {text.count(chr(10)) + 1}:" in str(err.value)
+    assert f"duplicate {kind} block {name}" in str(err.value)
+    assert parse(text + block.replace(f"{kind} {name} ", f"{kind} other ")) is not None
+
+
+def test_context_blocks_still_concatenate():
+    rf = parse("context { card lam regular; }\ncontext { lt aleph1 lam; }\n")
+    assert rf.ctx().lt("aleph1", "lam") is True
