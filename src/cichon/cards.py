@@ -10,6 +10,10 @@ arithmetic facts of the shapes
     inaccessible(a, b)    meaning a is b-inaccessible
     succ(a) = b           meaning b = a^+
 
+A successor is checked against the order once it is closed: a second
+succ(a) must name the same cardinal as the first, and no declared name may
+lie strictly between a and a^+; either contradiction raises `BadSuccessor`.
+
 Nothing is ever computed from cardinal arithmetic: assumptions are looked
 up (with monotone weakening, e.g. a^{<b} = a yields a^{<b'} = a for
 b' <= b), never derived.  Comparisons are tri-state: queries that the
@@ -65,6 +69,10 @@ class IncomparableNames(CardError):
     pass
 
 
+class BadSuccessor(CardError):
+    pass
+
+
 @dataclass(frozen=True)
 class OrdinalExpr:
     """Left-to-right ordinal product of regular cardinals, e.g. lam5*lam4."""
@@ -105,6 +113,7 @@ class CardContext:
         self._declare(CONTINUUM, regular=False)
         # (i, j, strict): names[i] <= names[j], or < when strict
         edges = [(0, 1, True), (1, 2, False)]  # aleph0 < aleph1 <= c
+        succs: list[tuple[str, str]] = []
 
         for decl in declarations:
             kind = decl[0]
@@ -126,7 +135,7 @@ class CardContext:
                 continue
             edges.append((i, j, kind != "le"))
             if kind == "succ":
-                self._succ[a] = b
+                succs.append((a, b))
 
         # _up[i]: names j with names[i] <= names[j] (Warshall closure)
         n = len(self.names)
@@ -148,6 +157,14 @@ class CardContext:
         for i, name in enumerate(self.names):
             if strict[i] >> i & 1:
                 raise OrderCycle(f"strict cycle through {name}")
+        for a, b in succs:
+            first = self._succ.setdefault(a, b)
+            if not self.same(first, b):
+                raise BadSuccessor(f"succ({a}) is declared as both {first} and {b}")
+            i, j = self._pos[a], self._pos[b]
+            for k, name in enumerate(self.names):
+                if strict[i] >> k & 1 and strict[k] >> j & 1:
+                    raise BadSuccessor(f"{name} lies strictly between {a} and succ({a})={b}")
 
     def _declare(self, name: str, regular: bool):
         if name in self._pos:

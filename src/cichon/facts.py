@@ -22,6 +22,13 @@ meager covering system.
 * monotonicity of the small-subset covering systems in both parameters,
 * a limit ordinal product is Tukey-equivalent to its cofinality.
 
+The closure is held over small ints.  `close` interns every expression once
+per call, in a table of its own, and gives each id an out-row and an
+in-row: ``int`` bitmasks of the ids it has facts to and from.  A candidate
+that is already a fact is dropped by one bit test, before any expression
+is hashed; only new facts reach `FactDB.add`, which validates them and is
+the only way a fact enters the database.
+
 Each rule is defined once, in the `REPLAY` table: its premise count and
 one check that re-derives the fact.  The per-expression rules and the
 monotonicity test are functions that `close` and the replay both call.
@@ -235,70 +242,122 @@ DEFAULT_UNIVERSE_LIMIT = 4000
 def close(db: FactDB, universe_limit: int = DEFAULT_UNIVERSE_LIMIT) -> FactDB:
     """Least fixpoint of the structural rules; every new fact gets provenance.
 
-    Incremental worklist evaluation: each fact is processed exactly once and
-    composed against lhs/rhs adjacency indexes, so closure cost is linear in
-    its own output.  The resulting fact set is order-independent; only the
-    provenance of facts derivable in several ways depends on discovery order.
+    Incremental worklist evaluation: each fact is processed exactly once, in
+    id order, and composed against the facts chaining through either side.
+    It runs on interned ids with bitmask rows (see the module docstring), so
+    a candidate that is already a fact costs one bit test, and a composition
+    loop runs only when the rows say it adds a fact.  Duplicates are only
+    skipped earlier: the facts, their order and their provenance are those
+    of a plain worklist that offers every candidate to `FactDB.add`.
     """
     from collections import deque
 
     ctx = db.ctx
-    by_lhs: dict[SysExpr, list[int]] = {}
-    by_rhs: dict[SysExpr, list[int]] = {}
-    seen_exprs: set[SysExpr] = set()
-    known_cideals: list[tuple[CIdeal, int]] = []  # (expr, witness fact id)
+    ids: dict[SysExpr, int] = {}
+    exprs: list[SysExpr] = []
+    out: list[int] = []        # out[a]: bit c set when a <= c is a fact
+    into: list[int] = []       # into[c]: bit a set when a <= c is a fact
+    by_lhs: list[list[int]] = []  # fact ids with lhs a, in id order
+    by_rhs: list[list[int]] = []
+    dual_id: list[Optional[int]] = []
+    seen: list[bool] = []      # the per-expression rules have fired on it
+    expanded: list[bool] = []  # every subexpression of it is seen
+    lhs_of: list[int] = []     # per fact id
+    rhs_of: list[int] = []
+    known_cideals: list[tuple[CIdeal, int, int]] = []  # (expr, id, witness fact id)
     queue: deque[int] = deque()
+    n_seen = 0
 
-    def register(fid: int):
-        f = db.facts[fid]
-        by_lhs.setdefault(f.lhs, []).append(fid)
-        by_rhs.setdefault(f.rhs, []).append(fid)
+    def intern(e: SysExpr) -> int:
+        k = ids.get(e)
+        if k is None:
+            k = ids[e] = len(exprs)
+            exprs.append(e)
+            out.append(0)
+            into.append(0)
+            by_lhs.append([])
+            by_rhs.append([])
+            dual_id.append(None)
+            seen.append(False)
+            expanded.append(False)
+        return k
+
+    def dual_of(a: int) -> int:
+        d = dual_id[a]
+        if d is None:
+            d = dual_id[a] = intern(dual(exprs[a]))
+        return d
+
+    def register(fid: int, a: int, c: int):
+        lhs_of.append(a)
+        rhs_of.append(c)
+        out[a] |= 1 << c
+        into[c] |= 1 << a
+        by_lhs[a].append(fid)
+        by_rhs[c].append(fid)
         queue.append(fid)
 
-    def emit(lhs, rhs, rule, premises, note=""):
-        if lhs == rhs:
-            return
-        fid = db.add(lhs, rhs, rule, premises, note=note)
-        if fid is not None:
-            register(fid)
+    def add(a: int, c: int, rule, premises, note):
+        register(db.add(exprs[a], exprs[c], rule, premises, note=note), a, c)
 
-    for fid in range(len(db.facts)):
-        register(fid)
+    def emit(a: int, c: int, rule, premises, note=""):
+        if a != c and not out[a] >> c & 1:
+            add(a, c, rule, premises, note)
 
+    for fid, f in enumerate(db.facts):
+        register(fid, intern(f.lhs), intern(f.rhs))
+
+    trans_note = "Tukey connections compose"
     mono_note = "small-subset covering systems are monotone in both parameters"
     while queue:
         i = queue.popleft()
-        f = db.facts[i]
+        a, b = lhs_of[i], rhs_of[i]
 
-        emit(dual(f.rhs), dual(f.lhs), "rule:dual", (i,),
+        emit(dual_of(b), dual_of(a), "rule:dual", (i,),
              note="a Tukey connection dualizes contravariantly")
 
-        # compose with everything currently chaining through either side
-        for j in list(by_lhs.get(f.rhs, ())):
-            emit(f.lhs, db.facts[j].rhs, "rule:trans", (i, j),
-                 note="Tukey connections compose")
-        for j in list(by_rhs.get(f.lhs, ())):
-            emit(db.facts[j].lhs, f.rhs, "rule:trans", (j, i),
-                 note="Tukey connections compose")
+        # compose with everything chaining through either side; `new` holds
+        # the ids a composition would add, and each is met once in the walk
+        new = out[b] & ~out[a] & ~(1 << a)
+        for j in by_lhs[b] if new else ():
+            c = rhs_of[j]
+            if new >> c & 1:
+                add(a, c, "rule:trans", (i, j), trans_note)
+                new ^= 1 << c
+                if not new:
+                    break
+        new = into[a] & ~into[b] & ~(1 << b)
+        for j in by_rhs[a] if new else ():
+            x = lhs_of[j]
+            if new >> x & 1:
+                add(x, b, "rule:trans", (j, i), trans_note)
+                new ^= 1 << x
+                if not new:
+                    break
 
-        for e in sorted(set(subexpressions(f.lhs)) | set(subexpressions(f.rhs)),
+        if expanded[a] and expanded[b]:
+            continue
+        for e in sorted(set(subexpressions(exprs[a])) | set(subexpressions(exprs[b])),
                         key=render):
-            if e in seen_exprs:
+            k = intern(e)
+            if seen[k]:
                 continue
-            seen_exprs.add(e)
-            if len(seen_exprs) > universe_limit:
+            seen[k] = True
+            n_seen += 1
+            if n_seen > universe_limit:
                 raise DivergentUniverse(f"expression universe exceeds {universe_limit}")
             for rule, kind, conclude, note in EXPR_RULES:
                 if isinstance(e, kind):
                     for lhs, rhs in conclude(ctx, e):
-                        emit(lhs, rhs, rule, (i,), note=note)
+                        emit(intern(lhs), intern(rhs), rule, (i,), note=note)
             if isinstance(e, CIdeal):
-                for other, wj in known_cideals:
+                for other, o, wj in known_cideals:
                     if cideal_mono(ctx, e, other):
-                        emit(e, other, "rule:cideal-mono", (i, wj), note=mono_note)
+                        emit(k, o, "rule:cideal-mono", (i, wj), note=mono_note)
                     if cideal_mono(ctx, other, e):
-                        emit(other, e, "rule:cideal-mono", (wj, i), note=mono_note)
-                known_cideals.append((e, i))
+                        emit(o, k, "rule:cideal-mono", (wj, i), note=mono_note)
+                known_cideals.append((e, k, i))
+        expanded[a] = expanded[b] = True
 
     db.closed = True
     return db

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from cichon.cards import (ALEPH0, ALEPH1, CONTINUUM, CardContext, ContextBuilder,
-                          DuplicateName, IncomparableFactors,
+from cichon.cards import (ALEPH0, ALEPH1, CONTINUUM, BadSuccessor, CardContext,
+                          ContextBuilder, DuplicateName, IncomparableFactors,
                           IncomparableNames, NonRegularFactor, OrderCycle,
                           UnknownName)
 
@@ -60,6 +60,28 @@ def test_nonstrict_cycle_allowed_as_alias():
 def test_duplicate_name():
     with pytest.raises(DuplicateName):
         ContextBuilder().card("a").card("a").build()
+
+
+def test_successor_is_enforced():
+    def ctx(*succs):
+        b = ContextBuilder()
+        for n in ("a", "b", "x"):
+            b.card(n, regular=True)
+        b.chain([ALEPH1, "a"], strict=True).le("b", "x")
+        for target in succs:
+            b.succ("a", target)
+        return b
+    # a second successor strictly above the first
+    with pytest.raises(BadSuccessor, match="succ.a. is declared as both b and x"):
+        ctx("b", "x").lt("b", "x").build()
+    # a second successor equal to the first as a cardinal is the same claim
+    same = ctx("b", "x").le("x", "b").build()
+    assert same.succ_of("a") == "b" and same.same("b", "x")
+    # a declared name strictly between a and a^+
+    with pytest.raises(BadSuccessor, match="b lies strictly between a and succ.a.=x"):
+        ctx("x").lt("a", "b").lt("b", "x").build()
+    # merely below the successor is no contradiction
+    assert ctx("x").le("b", "x").build().succ_of("a") == "x"
 
 
 def test_unknown_name():
@@ -197,6 +219,15 @@ class _Reference:
         self.cycle = any((n, n) in self.lt_pairs for n in self.names)
         self.assumed = [(k, a, b) for k, a, b in decls if k in ("pow_lt", "pow", "inaccessible")]
         self.assumed.append(("pow", CONTINUUM, ALEPH0))
+        # the first declared successor of each name, and whether another
+        # one differs from it or a name lies strictly between
+        self.succ, self.bad_succ = {}, False
+        for k, a, b in decls:
+            if k == "succ":
+                first = self.succ.setdefault(a, b)
+                self.bad_succ |= not (self.leq(first, b) is True and self.leq(b, first) is True)
+                self.bad_succ |= any((a, n) in self.lt_pairs and (n, b) in self.lt_pairs
+                                     for n in self.names)
 
     def leq(self, a, b):
         return True if (a, b) in self.le else False if (b, a) in self.lt_pairs else None
@@ -241,7 +272,7 @@ def _random_decls(rng):
 
 def test_order_matches_pair_set_closure():
     rng = random.Random(2026)
-    cycles = aliased = 0
+    cycles = aliased = bad_succ = 0
     for _ in range(300):
         decls = _random_decls(rng)
         ref = _Reference(decls)
@@ -250,8 +281,16 @@ def test_order_matches_pair_set_closure():
             with pytest.raises(OrderCycle):
                 CardContext(decls)
             continue
+        if ref.bad_succ:
+            bad_succ += 1
+            with pytest.raises(BadSuccessor):
+                CardContext(decls)
+            # a successor orders like lt: check the order without the claim
+            decls = [("lt", *d[1:]) if d[0] == "succ" else d for d in decls]
         ctx = CardContext(decls)
         assert ctx.names == ref.names
+        if not ref.bad_succ:
+            assert {a: ctx.succ_of(a) for a in ref.succ} == ref.succ
         aliased += any(ctx.canon(n) != n for n in ctx.names)
         for a in ctx.names:
             assert ctx.canon(a) == next(n for n in ref.names
@@ -275,7 +314,7 @@ def test_order_matches_pair_set_closure():
                         pick(pool)
                 else:
                     assert pick(pool) == want
-    assert cycles >= 20 and aliased >= 20, (cycles, aliased)
+    assert cycles >= 20 and aliased >= 20 and bad_succ >= 10, (cycles, aliased, bad_succ)
 
 
 def test_check_returns_position():

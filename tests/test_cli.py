@@ -49,6 +49,18 @@ def test_derive_dot_and_json(tmp_path, capsys):
     assert any(f["rule"] == "forge:preEUB" for f in data["facts"])
 
 
+def test_contradicting_successor_exits_2(tmp_path, capsys):
+    rf = builtin_file("mod1")
+    text = render_file(rf, rf.ctx())
+    for decl, msg in (("assume succ(lam1)=lam2; assume succ(lam1)=lam3;",
+                       "succ(lam1) is declared as both lam2 and lam3"),
+                      ("assume succ(lam1)=lam3;", "lam2 lies strictly between lam1")):
+        path = tmp_path / "succ.rcp"
+        path.write_text(text.replace("  assume pow_lt", f"  {decl}\n  assume pow_lt"))
+        code, out, err = run(capsys, "derive", str(path), "--recipe", "mod1")
+        assert code == 2 and out == "" and msg in err
+
+
 def test_derive_missing_assumption_exits_1(tmp_path, capsys):
     rf = builtin_file("mod1")
     text = render_file(rf, rf.ctx()).replace("  assume pow_lt(lam5,lam3)=lam5;\n", "")

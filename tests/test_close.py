@@ -1,0 +1,252 @@
+"""`facts.close` against the plain worklist it replaces.
+
+`reference_close` is the closure as it was written before it moved to
+interned ids and bitmask rows: every candidate goes to `FactDB.add`, which
+drops the duplicates.  The fast closure must give the same `db.facts`,
+every field of every fact in the same order, and raise `DivergentUniverse`
+at the same limits, leaving the same facts behind."""
+
+import random
+from collections import deque
+
+import pytest
+
+from cichon import forge, submodel
+from cichon.builtins import BUILTINS, builtin
+from cichon.cards import ALEPH0, ALEPH1, ContextBuilder
+from cichon.facts import (DEFAULT_UNIVERSE_LIMIT, EXPR_RULES, DivergentUniverse,
+                          FactDB, base_facts, cideal_mono, close)
+from cichon.systems import (CIdeal, Card, CoverSys, Ideal, IdealSys, Ord, Prod,
+                            Prs, R3, dual, render, subexpressions)
+
+
+def reference_close(db: FactDB, universe_limit: int = DEFAULT_UNIVERSE_LIMIT) -> FactDB:
+    ctx = db.ctx
+    by_lhs = {}
+    by_rhs = {}
+    seen_exprs = set()
+    known_cideals = []  # (expr, witness fact id)
+    queue = deque()
+
+    def register(fid: int):
+        f = db.facts[fid]
+        by_lhs.setdefault(f.lhs, []).append(fid)
+        by_rhs.setdefault(f.rhs, []).append(fid)
+        queue.append(fid)
+
+    def emit(lhs, rhs, rule, premises, note=""):
+        if lhs == rhs:
+            return
+        fid = db.add(lhs, rhs, rule, premises, note=note)
+        if fid is not None:
+            register(fid)
+
+    for fid in range(len(db.facts)):
+        register(fid)
+
+    mono_note = "small-subset covering systems are monotone in both parameters"
+    while queue:
+        i = queue.popleft()
+        f = db.facts[i]
+
+        emit(dual(f.rhs), dual(f.lhs), "rule:dual", (i,),
+             note="a Tukey connection dualizes contravariantly")
+
+        # compose with everything currently chaining through either side
+        for j in list(by_lhs.get(f.rhs, ())):
+            emit(f.lhs, db.facts[j].rhs, "rule:trans", (i, j),
+                 note="Tukey connections compose")
+        for j in list(by_rhs.get(f.lhs, ())):
+            emit(db.facts[j].lhs, f.rhs, "rule:trans", (j, i),
+                 note="Tukey connections compose")
+
+        for e in sorted(set(subexpressions(f.lhs)) | set(subexpressions(f.rhs)),
+                        key=render):
+            if e in seen_exprs:
+                continue
+            seen_exprs.add(e)
+            if len(seen_exprs) > universe_limit:
+                raise DivergentUniverse(f"expression universe exceeds {universe_limit}")
+            for rule, kind, conclude, note in EXPR_RULES:
+                if isinstance(e, kind):
+                    for lhs, rhs in conclude(ctx, e):
+                        emit(lhs, rhs, rule, (i,), note=note)
+            if isinstance(e, CIdeal):
+                for other, wj in known_cideals:
+                    if cideal_mono(ctx, e, other):
+                        emit(e, other, "rule:cideal-mono", (i, wj), note=mono_note)
+                    if cideal_mono(ctx, other, e):
+                        emit(other, e, "rule:cideal-mono", (wj, i), note=mono_note)
+                known_cideals.append((e, i))
+
+    db.closed = True
+    return db
+
+
+def clone(db: FactDB) -> FactDB:
+    out = FactDB(db.ctx, db.forced_c)
+    out.facts, out._index, out.meta = list(db.facts), dict(db._index), dict(db.meta)
+    return out
+
+
+def run(closer, db, limit):
+    """(raised DivergentUniverse, facts, closed flag) of closing a copy."""
+    db = clone(db)
+    try:
+        closer(db, limit)
+    except DivergentUniverse:
+        return True, db.facts, db.closed
+    return False, db.facts, db.closed
+
+
+def assert_same(db: FactDB, limit: int = DEFAULT_UNIVERSE_LIMIT):
+    want = run(reference_close, db, limit)
+    got = run(close, db, limit)
+    assert got[0] == want[0], f"DivergentUniverse at limit {limit}: {got[0]} vs {want[0]}"
+    assert got[1] == want[1]  # every field of every fact, in order
+    assert got[2] == want[2]
+    return want
+
+
+def pre_close(name: str) -> FactDB:
+    """The database a builtin hands to `close`, caught at the call."""
+    caught = []
+
+    def catch(db, *args, **kwargs):
+        caught.append(clone(db))
+        return close(db, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forge, "close", catch)
+        mp.setattr(submodel, "close", catch)
+        b = builtin(name)
+        if b.kind == "plan":
+            submodel.run_plan(b.ctx(), b.plan)
+        else:
+            b.derive()
+    (db,) = caught
+    return db
+
+
+def universe_size(db: FactDB) -> int:
+    return len(close(clone(db)).universe())
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_builtins_match_reference(name):
+    db = pre_close(name)
+    raised, facts, _ = assert_same(db)
+    assert not raised and len(facts) > len(db.facts)
+    assert assert_same(db, universe_size(db) - 1)[0]
+
+
+def chain_db(n: int) -> FactDB:
+    """aleph1 < n0 < ... < n{n-1}, all regular; one C[n_k < n_{k//2}] fact
+    per name, so card-embed and cideal-mono fire between every pair."""
+    names = [f"n{k}" for k in range(n)]
+    b = ContextBuilder()
+    for nm in names:
+        b.card(nm, regular=True)
+    b.chain([ALEPH1] + names, strict=True)
+    for k in range(0, n, 3):
+        b.pow_lt(names[k], names[k // 2])
+    db = FactDB(b.build(), names[-1])
+    for k, nm in enumerate(names):
+        db.add(CIdeal(nm, names[k // 2]), R3, "axiom:test", note="t")
+    return db
+
+
+@pytest.mark.parametrize("n", (10, 20, 40))
+def test_chain_matches_reference(n):
+    db = chain_db(n)
+    raised, facts, _ = assert_same(db)
+    assert not raised
+    rules = {f.rule for f in facts}
+    assert {"rule:card-embed", "rule:cideal-mono", "rule:ideal-collapse"} <= rules
+    universe = universe_size(db)
+    for limit in (universe - 1, universe // 2, 3):
+        assert assert_same(db, limit)[0]
+
+
+def random_db(rng: random.Random) -> FactDB:
+    n = rng.randint(2, 5)
+    names = [f"m{k}" for k in range(n)]
+    b = ContextBuilder()
+    for nm in names:
+        b.card(nm, regular=rng.random() < 0.7)
+    b.chain([ALEPH1] + names, strict=True)
+    ctx_names = [ALEPH0, ALEPH1] + names
+    for _ in range(rng.randint(0, 3)):
+        lo, hi = sorted(rng.sample(range(len(ctx_names)), 2))
+        b.pow_lt(ctx_names[hi], ctx_names[lo])
+    ctx = b.build()
+    regular = [nm for nm in ctx_names if ctx.is_regular(nm)]
+
+    def pair():
+        lo, hi = sorted(rng.choices(range(len(ctx_names)), k=2))
+        return ctx_names[hi], ctx_names[lo]
+
+    def atom():
+        kind = rng.randrange(7)
+        if kind == 0:
+            return Prs(rng.choice(("Lc", "Cn", "ww", "Mg")))
+        if kind == 1:
+            return IdealSys(rng.choice("MN"))
+        if kind == 2:
+            return CoverSys(rng.choice("MN"))
+        if kind == 3:
+            return CIdeal(*pair())
+        if kind == 4:
+            return Ideal(*pair())
+        if kind == 5:
+            return Card(rng.choice(regular))
+        return Ord(tuple(rng.choices(regular, k=2)))
+
+    def expr():
+        e = atom()
+        if rng.random() < 0.25:
+            e = Prod(tuple(atom() for _ in range(rng.randint(2, 3))))
+        return dual(e) if rng.random() < 0.3 else e
+
+    db = base_facts(ctx, names[-1]) if rng.random() < 0.2 else FactDB(ctx, names[-1])
+    for _ in range(rng.randint(1, 6)):
+        lhs, rhs = expr(), expr()
+        db.add(lhs, rhs, "axiom:test", note="t")
+    return db
+
+
+def test_random_databases_match_reference():
+    rng = random.Random(5)
+    rules: dict[str, int] = {}
+    diverged = 0
+    for _ in range(220):
+        db = random_db(rng)
+        limit = rng.randint(3, 30) if rng.random() < 0.3 else DEFAULT_UNIVERSE_LIMIT
+        raised, facts, _ = assert_same(db, limit)
+        diverged += raised
+        for f in facts:
+            rules[f.rule] = rules.get(f.rule, 0) + 1
+    for rule in ("rule:prod-proj", "rule:cideal-mono", "rule:card-embed",
+                 "rule:ideal-collapse", "rule:ord-cofinality", "rule:trans", "rule:dual"):
+        assert rules.get(rule, 0) >= 5, (rule, rules)
+    assert diverged >= 10, diverged
+
+
+def test_close_adds_each_fact_with_one_call(monkeypatch):
+    """Deterministic cost guard: the closure offers `FactDB.add` only the
+    facts it lacks, so a closed database costs no call at all."""
+    db = pre_close("mod1")
+    calls = []
+    real_add = FactDB.add
+
+    def counting_add(self, *args, **kwargs):
+        calls.append(1)
+        return real_add(self, *args, **kwargs)
+
+    monkeypatch.setattr(FactDB, "add", counting_add)
+    before = len(db.facts)
+    close(db)
+    assert len(calls) == len(db.facts) - before > 500
+    calls.clear()
+    close(db)
+    assert calls == []
