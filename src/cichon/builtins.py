@@ -1,10 +1,11 @@
-"""Builtin contexts, recipes, plans and reference assignments.
+"""The builtin models, one checked-in model file each under `models/`.
 
-Each builtin bundles a cardinal context with the recipe (or axiom model,
-or intersection plan) that reproduces one of the standard constellations:
-the five warm-up iterations, the four many-values theorems, the three
-construction-heavy left-side models, and the canonical chain-intersection
-plan with its bottom-row assignment.
+Each builtin is a context plus the recipe, axiom model or intersection plan
+that reproduces one of the standard constellations: the five warm-up
+iterations, the four many-values theorems, the three construction-heavy
+left-side models, and the Cichon's-maximum plan with its bottom-row
+assignment.  The files are written in the text format of `textfmt`, the
+same one users write, and `BUILTINS` is filled from them at import.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cards import ALEPH0, ALEPH1, CardContext, ContextBuilder
-from .forge import (EVDIFF, HECHLER, LOC, RANDOM, COHEN, DerivedModel,
-                    Recipe, Slot, axiom_model, hechler_sub, loc_sub,
-                    random_sub, run_recipe)
-from .submodel import ChainSpec, Plan
+from .cards import CardContext
+from .forge import DerivedModel, Recipe, axiom_model, run_recipe
+from .submodel import Plan
+from .textfmt import BUILTIN_NAMES, RecipeFile, builtin_file
 
 
 @dataclass(frozen=True)
@@ -41,186 +41,29 @@ class Builtin:
         raise ValueError(f"{self.name} is a plan, run it with cichon.submodel.run_plan")
 
 
-def _warmup_ctx() -> tuple:
-    b = ContextBuilder()
-    b.card("lam", regular=True)
-    b.lt(ALEPH1, "lam")
-    b.pow("lam", ALEPH0)
-    return tuple(b.decls)
+def _builtin(name: str, rf: RecipeFile) -> Builtin:
+    """The model the file models/NAME.rcp defines under NAME."""
+    kind = "recipe" if name in rf.recipes else "axiom" if name in rf.axioms else "plan"
+    return Builtin(name, kind, rf.context, recipe=rf.recipes.get(name),
+                   axiom_cards=rf.axioms.get(name), plan=rf.plans.get(name),
+                   assignments=tuple(rf.assignments.items()))
 
 
-def _warmup(name: str, cls) -> Builtin:
-    recipe = Recipe(name, length=("lam",),
-                    slots=(Slot(cls, cofinal=True),))
-    return Builtin(name, "recipe", _warmup_ctx(), recipe=recipe)
-
-
-def _lam_chain_ctx(n: int, pow_lt_pairs) -> tuple:
-    """lam1 < lam2 < ... < lamN, all regular, plus pow_lt assumptions."""
-    b = ContextBuilder()
-    names = [f"lam{i}" for i in range(1, n + 1)]
-    for nm in names:
-        b.card(nm, regular=True)
-    b.chain([ALEPH1] + names, strict=True)
-    for a, t in pow_lt_pairs:
-        b.pow_lt(a, t)
-    return tuple(b.decls)
-
-
-def _mod1() -> Builtin:
-    ctx = _lam_chain_ctx(5, [("lam5", "lam3")])
-    recipe = Recipe(
-        "mod1", length=("lam5", "lam4"),
-        slots=(
-            Slot(EVDIFF, cofinal=True),
-            Slot(loc_sub("lam1"), bookkeeping=("Lc", "lam1")),
-            Slot(random_sub("lam2"), bookkeeping=("Cn", "lam2")),
-            Slot(hechler_sub("lam3"), bookkeeping=("ww", "lam3")),
-        ))
-    return Builtin("mod1", "recipe", ctx, recipe=recipe)
-
-
-def _mod2() -> Builtin:
-    ctx = _lam_chain_ctx(4, [("lam4", "lam3")])
-    recipe = Recipe(
-        "mod2", length=("lam4",),
-        slots=(
-            Slot(loc_sub("lam1"), bookkeeping=("Lc", "lam1")),
-            Slot(random_sub("lam2"), bookkeeping=("Cn", "lam2")),
-            Slot(hechler_sub("lam3"), bookkeeping=("ww", "lam3")),
-        ))
-    return Builtin("mod2", "recipe", ctx, recipe=recipe)
-
-
-def _mod3() -> Builtin:
-    ctx = _lam_chain_ctx(4, [("lam4", "lam2")])
-    recipe = Recipe(
-        "mod3", length=("lam4", "lam3"),
-        slots=(
-            Slot(loc_sub("lam1"), bookkeeping=("Lc", "lam1")),
-            Slot(hechler_sub("lam2"), bookkeeping=("ww", "lam2")),
-            Slot(RANDOM, cofinal=True),
-        ))
-    return Builtin("mod3", "recipe", ctx, recipe=recipe)
-
-
-def _mod5() -> Builtin:
-    ctx = _lam_chain_ctx(4, [("lam4", "lam2")])
-    recipe = Recipe(
-        "mod5", length=("lam4", "lam3"),
-        slots=(
-            Slot(loc_sub("lam1"), bookkeeping=("Lc", "lam1")),
-            Slot(random_sub("lam2"), bookkeeping=("Cn", "lam2")),
-            Slot(HECHLER, cofinal=True),
-        ))
-    return Builtin("mod5", "recipe", ctx, recipe=recipe)
-
-
-def _gksmax() -> Builtin:
-    b = ContextBuilder()
-    for i in range(1, 6):
-        b.card(f"lam{i}", regular=True)
-    b.chain([ALEPH1, "lam1", "lam2", "lam3", "lam4", "lam5"], strict=True)
-    b.pow_lt("lam3", "lam3")
-    b.pow_lt("lam5", "lam4")
-    b.inaccessible("lam4", ALEPH1)
-    return Builtin("gksmax", "axiom", tuple(b.decls),
-                   axiom_cards=("lam1", "lam2", "lam3", "lam4", "lam5"))
-
-
-def _kst() -> Builtin:
-    b = ContextBuilder()
-    for i in range(1, 6):
-        b.card(f"lam{i}", regular=True)
-    b.chain([ALEPH1, "lam1", "lam2", "lam3", "lam4", "lam5"], strict=True)
-    b.pow_lt("lam2", "lam2")
-    b.pow_lt("lam5", "lam4")
-    b.inaccessible("lam3", ALEPH1)
-    b.inaccessible("lam4", ALEPH1)
-    return Builtin("kst", "axiom", tuple(b.decls),
-                   axiom_cards=("lam1", "lam2", "lam3", "lam4", "lam5"))
-
-
-def _bcm() -> Builtin:
-    b = ContextBuilder()
-    for i in range(0, 7):
-        b.card(f"lam{i}", regular=True)
-    b.chain([ALEPH1, "lam0", "lam1", "lam2", "lam3", "lam4", "lam5", "lam6"],
-            strict=True)
-    b.pow_lt("lam6", "lam3")
-    return Builtin("bcm", "axiom", tuple(b.decls),
-                   axiom_cards=tuple(f"lam{i}" for i in range(7)))
-
-
-# -- the canonical intersection plan ----------------------------------------
-
-_LAMS = ("lam1b", "lam2b", "lam3b", "lam4b",
-         "lam4d", "lam3d", "lam2d", "lam1d", "lamc")
-_THETAS = ("th1m", "th1", "th2m", "th2", "th3m", "th3", "th4m", "th4", "thinf")
-
-
-def _cmax_ctx() -> tuple:
-    b = ContextBuilder()
-    for nm in _LAMS[:-1]:
-        b.card(nm, regular=True)
-    b.card("lamc", regular=False)   # the one possibly singular cardinal
-    for nm in _THETAS:
-        b.card(nm, regular=True)
-    b.chain((ALEPH1,) + _LAMS + _THETAS, strict=True)
-    b.pow("lamc", ALEPH0)
-    # left-side construction hypotheses for the theta scale
-    b.pow_lt("th3", "th3")
-    b.pow_lt("thinf", "th4")
-    b.inaccessible("th4", ALEPH1)
-    # per-level chain-construction hypotheses, with theta_i = succ(theta_i^-)
-    for i in range(1, 5):
-        b.succ(f"th{i}m", f"th{i}")
-        b.pow(f"th{i}", f"th{i}m")
-        b.pow_lt(f"th{i}m", f"th{i}m")
-    return tuple(b.decls)
-
-
-def canonical_plan() -> Plan:
-    steps = []
-    for i in (4, 3, 2, 1):
-        steps.append(ChainSpec("d", i, f"lam{i}d", f"th{i}", f"th{i}"))
-        steps.append(ChainSpec("b", i, f"lam{i}b", f"th{i}m", f"th{i}m"))
-    steps.append(ChainSpec("final", None, None, ALEPH1, "lamc"))
-    return Plan("cichon_max",
-                base=("th1", "th2", "th3", "th4", "thinf"),
-                steps=tuple(steps), final_width="lamc")
-
-
-FIG16_BOTTOM = {
-    "addN": "lam1b", "covN": "lam2b", "b": "lam3b", "nonM": "lam4b",
-    "covM": "lam4d", "d": "lam3d", "nonN": "lam2d", "cofN": "lam1d",
-    "addM": "lam3b", "cofM": "lam3d", "c": "lamc",
-}
-
-
-def _cichon_max() -> Builtin:
-    return Builtin("cichon_max", "plan", _cmax_ctx(), plan=canonical_plan(),
-                   assignments=(("cichon_max_bottom", dict(FIG16_BOTTOM)),))
-
-
-def _registry() -> dict[str, Builtin]:
-    items = [
-        _warmup("cohen", COHEN),
-        _warmup("random", RANDOM),
-        _warmup("evdiff", EVDIFF),
-        _warmup("hechler", HECHLER),
-        _warmup("loc", LOC),
-        _mod1(), _mod2(), _mod3(), _mod5(),
-        _gksmax(), _kst(), _bcm(),
-        _cichon_max(),
-    ]
-    return {b.name: b for b in items}
-
-
-BUILTINS = _registry()
+_FILES = {name: builtin_file(name) for name in BUILTIN_NAMES}
+BUILTINS = {name: _builtin(name, rf) for name, rf in _FILES.items()}
+# every name a shipped file defines (its model and its assignments) -> the file
+_DEFINED_IN = {n: rf for name, rf in _FILES.items() for n in (name, *rf.assignments)}
+FIG16_BOTTOM = dict(_FILES["cichon_max"].assignments["cichon_max_bottom"])
 
 
 def builtin(name: str) -> Builtin:
     if name not in BUILTINS:
         raise KeyError(f"no builtin named {name!r}; have {sorted(BUILTINS)}")
     return BUILTINS[name]
+
+
+def file_defining(name: str) -> RecipeFile:
+    """The parsed shipped model file that defines NAME, a model or an assignment."""
+    if name not in _DEFINED_IN:
+        raise KeyError(f"no builtin named {name!r}; have {sorted(_DEFINED_IN)}")
+    return _DEFINED_IN[name]

@@ -5,9 +5,10 @@
     cichon finite    {b,d,dual,product,search} FILE [FILE]
     cichon check     [FILE] --assign NAME
 
-Without FILE, NAME is looked up among the builtins (cohen random evdiff
-hechler loc mod1 mod2 mod3 mod5 gksmax kst bcm cichon_max and its
-assignment cichon_max_bottom).
+NAME is looked up in FILE or, without FILE, in the shipped model file
+that defines it (src/cichon/models/: cohen random evdiff hechler loc mod1
+mod2 mod3 mod5 gksmax kst bcm cichon_max, and cichon_max's assignment
+cichon_max_bottom).  `derive` runs a recipe or an axiom model.
 
 Exit codes: 0 success, 1 derivation failures or constraint violations,
 2 malformed input.
@@ -40,6 +41,30 @@ def _load_file(path: str) -> textfmt.RecipeFile:
         raise CliInputError(f"{path}: {exc}") from None
 
 
+def _lookup(file, name: str, *tables: str):
+    """NAME's entry in the first of the RecipeFile tables that has it, and
+    the file: FILE, or without one the shipped model file defining NAME."""
+    if file:
+        rf = _load_file(file)
+    else:
+        try:
+            rf, file = bi.file_defining(name), f"builtin {name}"
+        except KeyError as exc:
+            raise CliInputError(exc.args[0]) from None
+    for table in tables:
+        if name in getattr(rf, table):
+            return rf, table, getattr(rf, table)[name]
+    raise CliInputError(f"{file} has no {' or '.join(t[:-1] for t in tables)} {name!r}")
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliInputError(f"cannot write {path}: {exc}") from None
+
+
 def _emit_json(path: str, db: FactDB, cons, extra: dict | None = None) -> None:
     payload = {
         "constellation": {k: {"lo": iv.lo, "hi": iv.hi} for k, iv in cons.items()},
@@ -51,53 +76,30 @@ def _emit_json(path: str, db: FactDB, cons, extra: dict | None = None) -> None:
     }
     if extra:
         payload.update(extra)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write(path, json.dumps(payload, indent=2) + "\n")
 
 
 def cmd_derive(args) -> int:
-    if args.file:
-        rf = _load_file(args.file)
-        if args.recipe not in rf.recipes:
-            raise CliInputError(f"{args.file} has no recipe {args.recipe!r}")
-        ctx = rf.ctx()
-        model = forge.run_recipe(ctx, rf.recipes[args.recipe])
+    rf, table, entry = _lookup(args.file, args.recipe, "recipes", "axioms")
+    if table == "recipes":
+        model = forge.run_recipe(rf.ctx(), entry)
     else:
-        try:
-            b = bi.builtin(args.recipe)
-        except KeyError as exc:
-            raise CliInputError(exc.args[0]) from None
-        if b.kind == "plan":
-            raise CliInputError(f"{args.recipe} is a plan; use 'cichon intersect'")
-        model = b.derive()
+        model = forge.axiom_model(rf.ctx(), args.recipe, entry)
     print(diagram.format_constellation(model.constellation), end="")
     if args.trace:
         print()
         for line in model.db.trace_lines():
             print(line)
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(diagram.to_dot(model.constellation))
+        _write(args.dot, diagram.to_dot(model.constellation))
     if args.json:
         _emit_json(args.json, model.db, model.constellation)
     return 0
 
 
 def cmd_intersect(args) -> int:
-    if args.file:
-        rf = _load_file(args.file)
-        if args.plan not in rf.plans:
-            raise CliInputError(f"{args.file} has no plan {args.plan!r}")
-        ctx, plan = rf.ctx(), rf.plans[args.plan]
-    else:
-        try:
-            b = bi.builtin(args.plan)
-        except KeyError as exc:
-            raise CliInputError(exc.args[0]) from None
-        if b.kind != "plan":
-            raise CliInputError(f"{args.plan} is not a plan; use 'cichon derive'")
-        ctx, plan = b.ctx(), b.plan
+    rf, _, plan = _lookup(args.file, args.plan, "plans")
+    ctx = rf.ctx()
     result = submodel.run_plan(ctx, plan)
     if args.tables:
         print(submodel.format_tables(ctx, plan, result.log))
@@ -154,22 +156,9 @@ def cmd_finite(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.file:
-        rf = _load_file(args.file)
-        if args.assign not in rf.assignments:
-            raise CliInputError(f"{args.file} has no assignment {args.assign!r}")
-        ctx, assignment = rf.ctx(), rf.assignments[args.assign]
-    else:
-        found = None
-        for b in bi.BUILTINS.values():
-            for aname, assignment in b.assignments:
-                if aname == args.assign:
-                    found = (b.ctx(), assignment)
-        if found is None:
-            raise CliInputError(f"no builtin assignment {args.assign!r}")
-        ctx, assignment = found
+    rf, _, assignment = _lookup(args.file, args.assign, "assignments")
     try:
-        violations = diagram.check_assignment(ctx, assignment)
+        violations = diagram.check_assignment(rf.ctx(), assignment)
     except diagram.DiagramError as exc:
         raise CliInputError(str(exc)) from None
     if not violations:

@@ -309,17 +309,6 @@ def check_assignment(ctx: CardContext, assignment: dict[str, str]) -> list[Viola
     return out
 
 
-def cofinality_lint(ctx: CardContext, cons: Constellation) -> list[str]:
-    """Optional check of b <= cf(d) for the four atom pairs (regular d only)."""
-    warnings = []
-    for b_key, d_key in (("addN", "cofN"), ("covN", "nonN"), ("b", "d"), ("nonM", "covM")):
-        b, d = cons[b_key], cons[d_key]
-        if b.pinned and d.pinned and ctx.is_regular(d.lo):
-            if ctx.leq(b.lo, d.lo) is not True:
-                warnings.append(f"{DISPLAY[b_key]} <= cf({DISPLAY[d_key]}) not derivable")
-    return warnings
-
-
 # ---------------------------------------------------------------------------
 # DOT rendering
 # ---------------------------------------------------------------------------

@@ -437,8 +437,8 @@ def parse_finsys(text: str) -> FinSys:
     if not lines:
         raise BadParameters("empty system file")
     head = lines[0].split()
-    if len(head) != 2 or not all(tok.isdigit() for tok in head):
-        raise BadParameters("header must be '<x_size> <y_size>'")
+    if len(head) != 2 or not all(tok.isdigit() and int(tok) > 0 for tok in head):
+        raise BadParameters("header must be '<x_size> <y_size>', both positive")
     xs, ys = int(head[0]), int(head[1])
     if len(lines) - 1 != xs:
         raise BadParameters(f"expected {xs} relation rows, got {len(lines) - 1}")

@@ -20,8 +20,7 @@ sigma-centered) and gain (theta, R) for every R from their size.
 The four derivation rules are the theorems behind every recipe fact.  Each
 is one function `(ctx, recipe, *args)` that returns its conclusions as
 (lhs, rhs, rule, note) or raises `PreconditionFailed` naming the hypothesis
-that fails, and it is the only place its hypotheses are stated (`apply_*`
-adds the conclusions to a database):
+that fails, and it is the only place its hypotheses are stated:
 
 * fullgen      - dominating reals cofinally often force R <= length, and
                  R = Mg = length for Polish R;
@@ -289,22 +288,6 @@ def _add(db: FactDB, conclusions, params=()) -> list[int]:
     return [i for i in ids if i is not None]
 
 
-def apply_fullgen(db: FactDB, r: Recipe, R: SysExpr) -> list[int]:
-    return _add(db, fullgen(db.ctx, r, R), (render(R),))
-
-
-def apply_cohen_limit(db: FactDB, r: Recipe) -> list[int]:
-    return _add(db, cohen_limit(db.ctx, r))
-
-
-def apply_itsmallsets(db: FactDB, r: Recipe, R: SysExpr, theta: str) -> list[int]:
-    return _add(db, itsmallsets(db.ctx, r, R, theta), (render(R), theta))
-
-
-def apply_preEUB(db: FactDB, r: Recipe, R: SysExpr, theta: str) -> list[int]:
-    return _add(db, preEUB(db.ctx, r, R, theta), (render(R), theta))
-
-
 def preeub_threshold(ctx: CardContext, r: Recipe, atom: str) -> Optional[str]:
     """Least theta >= cc at which every slot class is theta-atom-good, if the
     declared order settles it.  Goodness is monotone in theta, so that is the
@@ -477,15 +460,15 @@ def axiom_facts(name: str, cards: tuple[str, ...]) -> list[tuple[SysExpr, SysExp
 
 
 _AXIOM_C = {"gksmax": 4, "kst": 4, "bcm": 6}  # index of the forced continuum
-_AXIOM_ARITY = {"gksmax": 5, "kst": 5, "bcm": 7}
+AXIOM_ARITY = {"gksmax": 5, "kst": 5, "bcm": 7}
 
 
 def axiom_model(ctx: CardContext, name: str, cards: Sequence[str]) -> DerivedModel:
     cards = tuple(cards)
-    if name not in _AXIOM_ARITY:
+    if name not in AXIOM_ARITY:
         raise ForgeError(f"unknown axiom model {name!r}")
-    if len(cards) != _AXIOM_ARITY[name]:
-        raise ForgeError(f"{name} takes {_AXIOM_ARITY[name]} cardinals")
+    if len(cards) != AXIOM_ARITY[name]:
+        raise ForgeError(f"{name} takes {AXIOM_ARITY[name]} cardinals")
     for c in cards:
         ctx.check(c)
     miss = axiom_requirements(ctx, name, cards)
@@ -525,7 +508,7 @@ def _replay_preeub_card(db, fid, fact):
             "not a regular cardinal below the premise's covering system")
 
 
-@replays(*(f"axiom:{name}" for name in _AXIOM_ARITY))
+@replays(*(f"axiom:{name}" for name in AXIOM_ARITY))
 def _replay_axiom(db, fid, fact):
     if shape_only(db, fact):
         return

@@ -1,4 +1,6 @@
-"""The one self-describing text format: context, recipe, plan, assign blocks.
+"""The one text format every model is stated in: context, recipe, axiom,
+plan and assign blocks.  Users write it, and the builtins are shipped in it
+(`models/NAME.rcp`, read by `builtin_file`).
 
 Line-oriented and whitespace-insensitive within blocks; `#` starts a
 comment.  Shape:
@@ -18,6 +20,9 @@ comment.  Shape:
       slot evdiff cofinal;
       slot loc_sub(lam1) bookkeeping Lc upto lam1;
     }
+    axiom gksmax {
+      cards lam1, lam2, lam3, lam4, lam5;
+    }
     plan cichon_max {
       base gksmax(th1,th2,th3,th4,thinf);
       chain d 4 (lam4d, succ(th4m), th4);
@@ -26,19 +31,26 @@ comment.  Shape:
     }
     assign bottom { addN = lam1b; ...; c = lamc; }
 
+Context blocks concatenate.  Any other block is given once per kind and
+name, and a single-valued statement (`length`, `cc`, `base`, `cards`, a
+slot's `bookkeeping`, an assigned entry) once per block: a repeat is a
+ParseError, never an override.  An axiom block is named after one of the
+construction models in `forge.AXIOM_ARITY` and lists that many cardinals.
+
 `parse` produces a RecipeFile whose rendering parses back to an equal
 value (round-trip stability is part of the test suite).
 """
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .cards import ALEPH1, CardContext, CardError
 from .diagram import ENTRIES
-from .forge import ForgeError, Recipe, Slot, iterand
+from .forge import AXIOM_ARITY, ForgeError, Recipe, Slot, iterand
 from .submodel import ChainSpec, Plan
 from .systems import ATOM_ALIASES, PRS_ATOMS
 
@@ -59,6 +71,7 @@ class UnresolvedName(Exception):
 class RecipeFile:
     context: tuple = ()                      # declaration list for CardContext
     recipes: dict = field(default_factory=dict)
+    axioms: dict = field(default_factory=dict)    # model name -> its cardinals
     plans: dict = field(default_factory=dict)
     assignments: dict = field(default_factory=dict)
 
@@ -75,6 +88,12 @@ def _check_name(tok: str, line: int) -> str:
     return tok
 
 
+def _first(current, what: str, line: int) -> None:
+    """A single-valued statement given twice is an error, never an override."""
+    if current is not None:
+        raise ParseError(f"{what} given twice", line)
+
+
 def _atom(tok: str, line: int) -> str:
     atom = ATOM_ALIASES.get(tok, tok)
     if atom not in PRS_ATOMS:
@@ -82,7 +101,7 @@ def _atom(tok: str, line: int) -> str:
     return atom
 
 
-_HEADER = re.compile(r"(context|recipe|plan|assign)\b\s*([A-Za-z0-9_]*)\s*\{")
+_HEADER = re.compile(r"(context|recipe|axiom|plan|assign)\b\s*([A-Za-z0-9_]*)\s*\{")
 
 
 def _blocks(text: str):
@@ -165,18 +184,19 @@ _SLOT = re.compile(r"([a-z_]+)(?:\(\s*([A-Za-z0-9_]+)\s*\))?$")
 
 
 def _parse_recipe(name, body) -> Recipe:
-    length = None
-    cc = ALEPH1
+    length = cc = None
     slots = []
     for line, stmt in body:
         toks = stmt.split()
         if toks[0] == "length":
             if len(toks) != 2:
                 raise ParseError(f"bad length {stmt!r}", line)
+            _first(length, "length", line)
             length = tuple(t.strip() for t in toks[1].split("*"))
         elif toks[0] == "cc":
             if len(toks) != 2:
                 raise ParseError(f"bad cc {stmt!r}", line)
+            _first(cc, "cc", line)
             cc = toks[1]
         elif toks[0] == "slot":
             rest = toks[1:]
@@ -199,6 +219,7 @@ def _parse_recipe(name, body) -> Recipe:
                 elif rest[0] == "bookkeeping":
                     if len(rest) < 4 or rest[2] != "upto":
                         raise ParseError("bookkeeping needs '<atom> upto <cardinal>'", line)
+                    _first(bookkeeping, "bookkeeping", line)
                     bookkeeping = (_atom(rest[1], line), rest[3])
                     rest = rest[4:]
                 else:
@@ -208,7 +229,25 @@ def _parse_recipe(name, body) -> Recipe:
             raise ParseError(f"unknown recipe statement {stmt!r}", line)
     if length is None:
         raise ParseError(f"recipe {name} has no length", body[0][0] if body else 0)
-    return Recipe(name, length=length, cc=cc, slots=tuple(slots))
+    return Recipe(name, length=length, cc=cc or ALEPH1, slots=tuple(slots))
+
+
+def _parse_axiom(name, header, body) -> tuple[str, ...]:
+    if name not in AXIOM_ARITY:
+        raise ParseError(f"unknown axiom model {name!r} (expected one of "
+                         f"{', '.join(AXIOM_ARITY)})", header)
+    cards = None
+    for line, stmt in body:
+        toks = stmt.split(None, 1)
+        if toks[0] != "cards" or len(toks) != 2:
+            raise ParseError(f"unknown axiom statement {stmt!r}", line)
+        _first(cards, "cards", line)
+        cards = tuple(_check_name(t.strip(), line) for t in toks[1].split(","))
+        if len(cards) != AXIOM_ARITY[name]:
+            raise ParseError(f"{name} takes {AXIOM_ARITY[name]} cardinals", line)
+    if cards is None:
+        raise ParseError(f"axiom {name} has no cards", header)
+    return cards
 
 
 _CHAIN = re.compile(
@@ -232,6 +271,7 @@ def _parse_plan(name, body) -> tuple[Plan, list[tuple[int, str]]]:
             names = tuple(t.strip() for t in m.group(1).split(","))
             if len(names) != 5:
                 raise ParseError("base gksmax takes five cardinals", line)
+            _first(base, "base", line)
             base = names
         elif stmt.startswith("chain"):
             m = _CHAIN.match(stmt)
@@ -266,6 +306,7 @@ def _parse_assign(name, body) -> dict:
         key = m.group(1)
         if key not in ENTRIES:
             raise ParseError(f"unknown entry {key!r} (expected one of {', '.join(ENTRIES)})", line)
+        _first(out.get(key), key, line)
         out[key] = m.group(2)
     return out
 
@@ -282,6 +323,8 @@ def parse(text: str) -> RecipeFile:
             rf.context = rf.context + _parse_context(body)
         elif kind == "recipe":
             rf.recipes[name] = _parse_recipe(name, body)
+        elif kind == "axiom":
+            rf.axioms[name] = _parse_axiom(name, header, body)
         elif kind == "plan":
             plan, fixups = _parse_plan(name, body)
             rf.plans[name] = plan
@@ -308,6 +351,9 @@ def parse(text: str) -> RecipeFile:
                 need(slot.iterand.size_bound, line)
             if slot.bookkeeping is not None:
                 need(slot.bookkeeping[1], line)
+    for name, cards in rf.axioms.items():
+        for c in cards:
+            need(c, block_lines[("axiom", name)])
     for name, fixups in plan_fixups:
         plan = rf.plans[name]
         line = block_lines[("plan", name)]
@@ -363,6 +409,8 @@ def render_file(rf: RecipeFile, ctx: Optional[CardContext] = None) -> str:
                 parts.append(f"bookkeeping {s.bookkeeping[0]} upto {s.bookkeeping[1]}")
             out.append("  " + " ".join(parts) + ";")
         out.append("}")
+    for name, cards in rf.axioms.items():
+        out += [f"axiom {name} {{", f"  cards {', '.join(cards)};", "}"]
     for name, p in rf.plans.items():
         out.append(f"plan {name} {{")
         out.append(f"  base gksmax({','.join(p.base)});")
@@ -388,17 +436,14 @@ def render_file(rf: RecipeFile, ctx: Optional[CardContext] = None) -> str:
     return "\n".join(out) + "\n"
 
 
+MODELS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "models")
+BUILTIN_NAMES = tuple(sorted(f[:-len(".rcp")] for f in os.listdir(MODELS) if f.endswith(".rcp")))
+
+
 def builtin_file(name: str) -> RecipeFile:
-    """The named builtin re-expressed as a RecipeFile (recipes/plans only)."""
-    from .builtins import builtin
-    b = builtin(name)
-    rf = RecipeFile(context=b.context)
-    if b.kind == "recipe":
-        rf.recipes[b.name] = b.recipe
-    elif b.kind == "plan":
-        rf.plans[b.name] = b.plan
-        for aname, assignment in b.assignments:
-            rf.assignments[aname] = dict(assignment)
-    else:
-        raise ValueError(f"builtin {name} is an axiom model, not a file template")
-    return rf
+    """The shipped model file `models/NAME.rcp`, parsed.  NAME is matched
+    against the shipped names, never joined into a path unchecked."""
+    if name not in BUILTIN_NAMES:
+        raise KeyError(f"no builtin named {name!r}; have {list(BUILTIN_NAMES)}")
+    with open(os.path.join(MODELS, f"{name}.rcp")) as fh:
+        return parse(fh.read())

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 from cichon.builtins import builtin
 from cichon.cli import main
 from cichon.facts import check_trace
-from cichon.textfmt import builtin_file, render_file
+from cichon.textfmt import MODELS, builtin_file, render_file
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(MODELS)))
 
 
 def run(capsys, *argv):
@@ -170,3 +177,67 @@ def test_intersect_json_has_tables(tmp_path, capsys):
     assert row4 == {"system": 4, "below": ["lam4b", "lam4d"],
                     "b": "lam4b", "d": "lam4d"}
     assert data["product_bounds"]["4"] == "prod(lam4d,lam4b)"
+
+
+def test_derive_axiom_model_from_its_file(capsys):
+    """The shipped file prints what the builtin prints, trace included."""
+    path = os.path.join(MODELS, "gksmax.rcp")
+    code, from_file, _ = run(capsys, "derive", path, "--recipe", "gksmax", "--trace")
+    assert code == 0 and "cov(N)  lam2" in from_file
+    assert run(capsys, "derive", "--recipe", "gksmax", "--trace") == (0, from_file, "")
+
+
+def test_builtins_are_found_from_any_cwd(tmp_path):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    p = subprocess.run([sys.executable, "-S", "-m", "cichon", "derive", "--recipe", "gksmax"],
+                       cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    assert len(p.stdout.strip().splitlines()) == 11
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive", "--recipe", "../x"],
+    ["derive", "--recipe", "../models/mod1"],
+    ["intersect", "--plan", "../cichon_max"],
+    ["check", "--assign", "models/cichon_max_bottom"],
+])
+def test_builtin_name_is_never_a_path(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "no builtin named" in err
+
+
+@pytest.mark.parametrize("argv,msg", [
+    (["derive", "--recipe", "cichon_max"], "builtin cichon_max has no recipe or axiom 'cichon_max'"),
+    (["intersect", "--plan", "gksmax"], "builtin gksmax has no plan 'gksmax'"),
+    (["check", "--assign", "mod1"], "builtin mod1 has no assignment 'mod1'"),
+])
+def test_builtin_of_the_wrong_kind_exits_2(capsys, argv, msg):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and msg in err
+
+
+def test_repeated_statement_exits_2(tmp_path, capsys):
+    rf = builtin_file("mod1")
+    path = tmp_path / "twice.rcp"
+    path.write_text(render_file(rf, rf.ctx()).replace("  cc aleph1;\n", "  length lam5;\n"))
+    code, out, err = run(capsys, "derive", str(path), "--recipe", "mod1")
+    assert code == 2 and out == "" and "line 16: length given twice" in err
+
+
+def test_finite_zero_size_header_exits_2(tmp_path, capsys):
+    for header in ("0 0", "0 3", "2 0"):
+        bad = tmp_path / "empty.sys"
+        bad.write_text(header + "\n")
+        code, out, err = run(capsys, "finite", "d", str(bad))
+        assert code == 2 and out == "" and err.startswith("error: ") and "positive" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive", "--recipe", "cohen", "--dot"],
+    ["derive", "--recipe", "cohen", "--json"],
+    ["intersect", "--plan", "cichon_max", "--json"],
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    path = str(tmp_path / "missing" / "out")
+    code, _, err = run(capsys, *argv, path)
+    assert code == 2 and err.startswith(f"error: cannot write {path}")

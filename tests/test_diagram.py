@@ -2,7 +2,7 @@ import pytest
 
 from cichon.cards import ALEPH1, ContextBuilder
 from cichon.diagram import (ARROWS, ENTRIES, InconsistentBounds, Interval,
-                            _extreme, check_assignment, cofinality_lint, constellation,
+                            _extreme, check_assignment, constellation,
                             format_constellation, intrinsic_bounds,
                             pinned_values, to_dot, value_bounds)
 from cichon.facts import REPLAY, base_facts, close
@@ -128,15 +128,6 @@ def test_pinned_values_raises_on_gaps():
     db = close(base_facts(ctx, None))
     with pytest.raises(DiagramError):
         pinned_values(constellation(db))
-
-
-def test_cofinality_lint_quiet_on_sane_values():
-    ctx = lam_ctx()
-    db = base_facts(ctx, "lam")
-    for r in (R1, R2, R3, R4):
-        db.add(CIdeal("lam", ALEPH1), r, "axiom:test", note="t")
-    close(db)
-    assert cofinality_lint(ctx, constellation(db)) == []
 
 
 def test_interval_endpoints():

@@ -10,11 +10,9 @@ from cichon.diagram import pinned_values
 from cichon.facts import check_trace, verify
 from cichon.forge import (COHEN, FULL_CLASSES, HECHLER, LOC, RANDOM, SUB_MAKERS,
                           MissingAssumption, PreconditionFailed, Recipe, Slot,
-                          apply_cohen_limit, apply_fullgen, apply_itsmallsets,
-                          apply_preEUB, axiom_model, hechler_sub, iterand,
-                          loc_sub, preeub_threshold, random_sub, run_recipe,
-                          validate)
-from cichon.facts import base_facts
+                          axiom_model, cohen_limit, fullgen, hechler_sub,
+                          iterand, itsmallsets, loc_sub, preEUB,
+                          preeub_threshold, random_sub, run_recipe, validate)
 from cichon.systems import CIdeal, Card, Ideal, Prs
 
 WARMUP_EXPECTED = {
@@ -256,53 +254,50 @@ def test_run_recipe_derives_exactly_what_validate_accepts(case):
     assert check_trace(ctx, model.db.trace_lines()) == len(model.db.facts)
 
 
+def _pairs(conclusions):
+    return {(lhs, rhs) for lhs, rhs, _, _ in conclusions}
+
+
 def test_apply_fullgen_preconditions():
     b = builtin("hechler")
     ctx, r = b.ctx(), b.recipe
-    db = base_facts(ctx, "lam")
-    db.meta["recipe"] = r
     with pytest.raises(PreconditionFailed):
-        apply_fullgen(db, r, Prs("Lc"))  # hechler does not add Lc-dominating
-    ids = apply_fullgen(db, r, Prs("ww"))
-    assert ids and db.has(Prs("ww"), Card("lam"))
+        fullgen(ctx, r, Prs("Lc"))  # hechler does not add Lc-dominating
+    assert (Prs("ww"), Card("lam")) in _pairs(fullgen(ctx, r, Prs("ww")))
     no_cofinal = Recipe("x", length=("lam",), slots=(Slot(HECHLER),))
     with pytest.raises(PreconditionFailed):
-        apply_fullgen(db, no_cofinal, Prs("ww"))
+        fullgen(ctx, no_cofinal, Prs("ww"))
 
 
 def test_apply_cohen_limit_zero_length():
     b = builtin("cohen")
     ctx = b.ctx()
-    db = base_facts(ctx, "lam")
     empty = Recipe("empty", length=("lam",), slots=())
     with pytest.raises(PreconditionFailed):
-        apply_cohen_limit(db, empty)
-    ids = apply_cohen_limit(db, b.recipe)
-    assert db.has(CIdeal("lam", ALEPH1), Prs("Mg"))  # pure Cohen product
+        cohen_limit(ctx, empty)
+    # pure Cohen product
+    assert (CIdeal("lam", ALEPH1), Prs("Mg")) in _pairs(cohen_limit(ctx, b.recipe))
 
 
 def test_apply_itsmallsets_requires_bookkeeping():
     b = builtin("mod1")
     ctx, r = b.ctx(), b.recipe
-    db = base_facts(ctx, "lam5")
-    db.meta["recipe"] = r
-    ids = apply_itsmallsets(db, r, Prs("Lc"), "lam1")
-    assert db.has(Prs("Lc"), CIdeal("lam5", "lam1"))
+    assert _pairs(itsmallsets(ctx, r, Prs("Lc"), "lam1")) == {(Prs("Lc"), CIdeal("lam5", "lam1"))}
     with pytest.raises(PreconditionFailed):
-        apply_itsmallsets(db, r, Prs("Mg"), "lam1")
+        itsmallsets(ctx, r, Prs("Mg"), "lam1")
 
 
 def test_apply_preeub_names_bad_slot():
     b = builtin("mod1")
     ctx, r = b.ctx(), b.recipe
-    db = base_facts(ctx, "lam5")
-    db.meta["recipe"] = r
     with pytest.raises(PreconditionFailed) as err:
-        apply_preEUB(db, r, Prs("Mg"), "lam3")
+        preEUB(ctx, r, Prs("Mg"), "lam3")
     assert "evdiff" in str(err.value)
-    apply_preEUB(db, r, Prs("Cn"), "lam2")
-    assert db.has(CIdeal("lam5", "lam2"), Prs("Cn"))
-    assert db.has(Card("lam3"), Prs("Cn"))  # regulars in [lam2, lam5]
+    assert _pairs(preEUB(ctx, r, Prs("Cn"), "lam2")) == {(CIdeal("lam5", "lam2"), Prs("Cn"))}
+    db = b.derive().db  # each regular in [lam2, lam5] embeds below Cn, citing that fact
+    fact = db.facts[db.id_of(Card("lam3"), Prs("Cn"))]
+    assert fact.rule == "forge:preEUB-card"
+    assert db.facts[fact.premises[0]].key() == (CIdeal("lam5", "lam2"), Prs("Cn"))
 
 
 def test_full_hechler_never_preeub_for_ww():
@@ -310,11 +305,9 @@ def test_full_hechler_never_preeub_for_ww():
     b = builtin("mod5")
     ctx, r = b.ctx(), b.recipe
     assert preeub_threshold(ctx, r, "ww") is None
-    db = base_facts(ctx, "lam4")
-    db.meta["recipe"] = r
     for theta in ("lam1", "lam2", "lam3", "lam4"):
         with pytest.raises(PreconditionFailed):
-            apply_preEUB(db, r, Prs("ww"), theta)
+            preEUB(ctx, r, Prs("ww"), theta)
 
 
 def test_rule_order_confluence():

@@ -208,7 +208,7 @@ def test_verify_rechecks_the_recipe_wide_hypotheses():
     """The hechler recipe applied rule by rule in a context that does not
     declare pow(lam,aleph0), so the continuum is not forced to lam."""
     from cichon.facts import base_facts
-    from cichon.forge import apply_cohen_limit, apply_fullgen, apply_preEUB
+    from cichon.forge import cohen_limit, fullgen, preEUB
     from cichon.systems import Prs
     b = ContextBuilder()
     b.card("lam", regular=True)
@@ -217,9 +217,11 @@ def test_verify_rechecks_the_recipe_wide_hypotheses():
     r = builtin("hechler").recipe
     db = base_facts(ctx, "lam")
     db.meta["recipe"] = r
-    apply_cohen_limit(db, r)
-    apply_fullgen(db, r, Prs("ww"))
-    apply_preEUB(db, r, Prs("Cn"), ALEPH1)
+    for conclusions, params in ((cohen_limit(ctx, r), ()),
+                                (fullgen(ctx, r, Prs("ww")), ("ww",)),
+                                (preEUB(ctx, r, Prs("Cn"), ALEPH1), ("Cn", ALEPH1))):
+        for lhs, rhs, rule, note in conclusions:
+            db.add(lhs, rhs, rule, (), params, note)
     close(db)
     with pytest.raises(ReplayError, match=r"pow\(lam,aleph0\)"):
         verify(db)

@@ -170,8 +170,7 @@ def test_plan_order_violation(cmax):
 
 def test_plan_missing_assumption(cmax):
     _, plan = cmax
-    from cichon.builtins import _cmax_ctx
-    decls = tuple(d for d in _cmax_ctx() if d != ("pow", "th4", "th4m"))
+    decls = tuple(d for d in builtin("cichon_max").context if d != ("pow", "th4", "th4m"))
     ctx = CardContext(decls)
     with pytest.raises(MissingAssumption) as err:
         run_plan(ctx, plan)
@@ -209,8 +208,7 @@ def test_below_set_legality(result, cmax):
 def test_plan_tolerates_aliased_targets():
     # (H1) only requires the targets to be non-decreasing: two chain lengths
     # declared equal (ordered both ways) must still pin
-    from cichon.builtins import _cmax_ctx
-    decls = _cmax_ctx()
+    decls = builtin("cichon_max").context
     fixed = []
     for d in decls:
         if d == ("lt", "lam3d", "lam2d"):

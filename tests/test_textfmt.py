@@ -1,17 +1,20 @@
+import os
+
 import pytest
 
 from cichon.builtins import BUILTINS, builtin
-from cichon.textfmt import (ParseError, UnresolvedName, builtin_file,
-                            parse, render_file)
+from cichon.textfmt import (MODELS, ParseError, RecipeFile, UnresolvedName,
+                            builtin_file, parse, render_file)
 
 
 def test_round_trip_all_builtins():
-    for name, b in BUILTINS.items():
-        if b.kind == "axiom":
-            continue
+    assert len(BUILTINS) == 13
+    for name in BUILTINS:
         rf = builtin_file(name)
         text = render_file(rf, rf.ctx())
         assert parse(text) == rf, name
+        with open(os.path.join(MODELS, f"{name}.rcp")) as fh:
+            assert fh.read() == text, name  # the checked-in file is canonical
 
 
 def test_parse_context_statements():
@@ -118,3 +121,61 @@ def test_second_block_of_one_kind_and_name_is_rejected(kind):
 def test_context_blocks_still_concatenate():
     rf = parse("context { card lam regular; }\ncontext { lt aleph1 lam; }\n")
     assert rf.ctx().lt("aleph1", "lam") is True
+
+
+def test_axiom_block():
+    rf = builtin_file("gksmax")
+    assert rf.axioms == {"gksmax": ("lam1", "lam2", "lam3", "lam4", "lam5")}
+    assert not rf.recipes and not rf.plans and not rf.assignments
+    assert "axiom gksmax {\n  cards lam1, lam2, lam3, lam4, lam5;\n}\n" in render_file(rf)
+    spaced = parse("context { card a regular; card b regular; lt aleph1 a; lt a b; }\n"
+                   "axiom gksmax {\n  cards a ,b,a,  b,b ;\n}\n")
+    assert spaced.axioms == {"gksmax": ("a", "b", "a", "b", "b")}
+
+
+@pytest.mark.parametrize("block,error,msg", [
+    ("axiom foo { cards lam1; }", ParseError, "unknown axiom model 'foo'"),
+    ("axiom kst { cards lam1, lam2; }", ParseError, "kst takes 5 cardinals"),
+    ("axiom bcm { }", ParseError, "axiom bcm has no cards"),
+    ("axiom gksmax { length lam1; }", ParseError, "unknown axiom statement"),
+    ("axiom gksmax { cards lam1, lam2, lam3, lam4,; }", ParseError, "bad name ''"),
+    ("axiom gksmax { cards lam1, lam2, lam3, lam4, mu; }", UnresolvedName,
+     "'mu' is not declared"),
+    ("axiom gksmax { cards lam1, lam2, lam3, lam4, lam5; } " * 2, ParseError,
+     "duplicate axiom block gksmax"),
+], ids=["unknown-model", "arity", "no-cards", "other-statement", "empty-name",
+        "undeclared", "second-block"])
+def test_axiom_block_errors(block, error, msg):
+    text = render_file(RecipeFile(context=builtin_file("gksmax").context))
+    with pytest.raises(error) as err:
+        parse(text + block + "\n")
+    assert str(err.value).startswith(f"line {text.count(chr(10)) + 1}: ")
+    assert msg in str(err.value)
+
+
+@pytest.mark.parametrize("name,old,new", [
+    ("mod1", "length lam5*lam4;", "length lam5*lam4;\n  length lam5;"),
+    ("mod1", "cc aleph1;", "cc aleph1;\n  cc lam1;"),
+    ("mod1", "bookkeeping Lc upto lam1;", "bookkeeping Lc upto lam1 bookkeeping Cn upto lam2;"),
+    ("cichon_max", "base gksmax(th1,th2,th3,th4,thinf);",
+     "base gksmax(th1,th2,th3,th4,thinf);\n  base gksmax(th1,th2,th3,th4,th4);"),
+    ("cichon_max", "addN = lam1b;", "addN = lam1b;\n  addN = lam2b;"),
+    ("gksmax", "cards lam1, lam2, lam3, lam4, lam5;",
+     "cards lam1, lam2, lam3, lam4, lam5;\n  cards lam1, lam2, lam3, lam4, lam4;"),
+], ids=["length", "cc", "bookkeeping", "base", "assigned-entry", "cards"])
+def test_repeated_single_valued_statement_is_rejected(name, old, new):
+    """A second statement that would override the first is an error naming
+    its own line, never a silent override."""
+    rf = builtin_file(name)
+    text = render_file(rf, rf.ctx()).replace(old, new, 1)
+    second = text.index(new) + len(new)
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value).startswith(f"line {text.count(chr(10), 0, second) + 1}: ")
+    assert "given twice" in str(err.value)
+
+
+def test_builtin_file_takes_only_shipped_names():
+    for name in ("../models/mod1", "mod1.rcp", "", "nope"):
+        with pytest.raises(KeyError, match="no builtin named"):
+            builtin_file(name)
