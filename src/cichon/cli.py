@@ -20,7 +20,6 @@ import argparse
 import json
 import sys
 
-from . import builtins as bi
 from . import diagram, finite, forge, submodel, textfmt
 from .cards import CardError
 from .facts import FactDB, FactError
@@ -47,8 +46,9 @@ def _lookup(file, name: str, *tables: str):
     if file:
         rf = _load_file(file)
     else:
+        from . import builtins  # parses every shipped model file
         try:
-            rf, file = bi.file_defining(name), f"builtin {name}"
+            rf, file = builtins.file_defining(name), f"builtin {name}"
         except KeyError as exc:
             raise CliInputError(exc.args[0]) from None
     for table in tables:
@@ -206,10 +206,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CardError, ExprError) as exc:
+    except (CliInputError, CardError, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except finite.SearchSpaceTooLarge as exc:

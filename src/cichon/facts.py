@@ -32,12 +32,15 @@ the only way a fact enters the database.
 Each rule is defined once, in the `REPLAY` table: its premise count and
 one check that re-derives the fact.  The per-expression rules and the
 monotonicity test are functions that `close` and the replay both call.
+The seed, recipe, axiom and plan rules, whose hypotheses live in a source
+held in ``db.meta``, are registered through `replays_source`: their check
+re-runs the source once per database and looks the fact up in the result.
 `verify` runs the table over a live database.  `check_trace` runs the same
-loop over a rendered trace, which carries no ``meta``.  Every check that
-reads only the facts re-derives from the trace alone: the structural rules
-here and the preEUB cardinal embeddings of `forge`.  The seed, recipe,
-axiom and plan rules, whose hypotheses live in ``meta``, are only checked
-to be well formed and to cite no premises (see `shape_only`).
+loop over a rendered trace, which carries no ``meta``; `_replay` alone
+decides that such a trace's source facts are only checked to be well
+formed.  Every other check reads only the facts, so it re-derives from the
+trace alone: the structural rules here and the preEUB cardinal embeddings
+of `forge`.
 """
 
 from __future__ import annotations
@@ -93,7 +96,10 @@ class FactDB:
         self.facts: list[TukeyFact] = []
         self._index: dict[tuple[SysExpr, SysExpr], int] = {}
         self.closed = False
-        self.meta: Optional[dict] = {}  # None for a parsed trace
+        # the sources the facts re-run from, by name: the continuum the seeds
+        # follow, and the recipe, axiom model or plan; None for a parsed trace
+        self.meta: Optional[dict] = {"seed": self.c_name}
+        self._reran: dict[str, tuple] = {}  # source -> (object, its re-run)
 
     @property
     def c_name(self) -> str:
@@ -144,9 +150,8 @@ NOTE_IDEAL_COVER = "for any ideal, the covering system and its dual lie below th
 NOTE_PRS_MEAGER = "every Polish relational system lies Tukey-above the meager covering system"
 
 
-def seed_facts(ctx: CardContext, forced_c: Optional[str]) -> list[tuple[SysExpr, SysExpr, str, str]]:
-    """The (lhs, rhs, rule, note) seed list for a given context."""
-    cn = forced_c if forced_c is not None else CONTINUUM
+def seed_facts(ctx: CardContext, cn: str) -> list[tuple]:
+    """The (lhs, rhs, rule, params, note) seeds for continuum name cn."""
     C = CIdeal(cn, ALEPH1)
     iM, iN = IdealSys("M"), IdealSys("N")
     cM, cN = CoverSys("M"), CoverSys("N")
@@ -167,20 +172,20 @@ def seed_facts(ctx: CardContext, forced_c: Optional[str]) -> list[tuple[SysExpr,
         (R3, iM),                   # d <= cof(M)
         (dual(R3), R3),             # b <= d
     ]
-    out = [(a, b, "seed:diagram", NOTE_DIAGRAM) for a, b in edges]
+    out = [(a, b, "seed:diagram", (), NOTE_DIAGRAM) for a, b in edges]
     equivs = [(R4, cM), (cM, R4), (R2, dual(cN)), (dual(cN), R2), (R1, iN), (iN, R1)]
-    out += [(a, b, "seed:prs-equiv", NOTE_PRS_EQUIV) for a, b in equivs]
+    out += [(a, b, "seed:prs-equiv", (), NOTE_PRS_EQUIV) for a, b in equivs]
     trivial = [(cM, iM), (dual(cM), iM), (cN, iN), (dual(cN), iN)]
-    out += [(a, b, "seed:ideal-cover", NOTE_IDEAL_COVER) for a, b in trivial]
+    out += [(a, b, "seed:ideal-cover", (), NOTE_IDEAL_COVER) for a, b in trivial]
     prs = [(R4, R1), (R4, R2), (R4, R3)]
-    out += [(a, b, "seed:prs-meager", NOTE_PRS_MEAGER) for a, b in prs]
+    out += [(a, b, "seed:prs-meager", (), NOTE_PRS_MEAGER) for a, b in prs]
     return out
 
 
 def base_facts(ctx: CardContext, forced_c: Optional[str] = None) -> FactDB:
     db = FactDB(ctx, forced_c)
-    for lhs, rhs, rule, note in seed_facts(ctx, forced_c):
-        db.add(lhs, rhs, rule, note=note)
+    for lhs, rhs, rule, params, note in seed_facts(ctx, db.c_name):
+        db.add(lhs, rhs, rule, params=params, note=note)
     return db
 
 
@@ -370,7 +375,7 @@ def close(db: FactDB, universe_limit: int = DEFAULT_UNIVERSE_LIMIT) -> FactDB:
 # REPLAY maps each rule to the one check that re-derives its conclusion,
 # `fn(db, fid, fact)`.  `replays` also records on fn how many premises the
 # rule cites; a check registered by hand without one has its premise count
-# left unchecked.
+# left unchecked.  `replays_source` records the source the check re-runs.
 
 ReplayFn = Callable[[FactDB, int, TukeyFact], None]
 REPLAY: dict[str, ReplayFn] = {}
@@ -394,48 +399,30 @@ def _mentions(fact: TukeyFact, e: SysExpr) -> bool:
     return e in subexpressions(fact.lhs) or e in subexpressions(fact.rhs)
 
 
-def shape_only(db: FactDB, fact: TukeyFact) -> bool:
-    """True when db is a parsed trace, which has no ``meta``: the hypotheses
-    of the seed, recipe, axiom and plan rules are not in it, so their facts
-    are only checked to be well formed in the context."""
-    if db.meta is not None:
-        return False
-    validate_expr(db.ctx, fact.lhs)
-    validate_expr(db.ctx, fact.rhs)
-    return True
+def replays_source(source: str, *rules: str, rerun: Callable, errors: tuple = ()):
+    """Registers the check of `rules`, whose facts come from the object
+    ``db.meta[source]``: the fact and its params must be among the
+    (lhs, rhs, rule, params, note) tuples ``rerun(ctx, object)`` returns.
+    It re-runs once per database and object, so replacing the object
+    invalidates the result; an error of a type in `errors` fails the fact."""
+    def check(db, fid, fact):
+        obj = db.meta.get(source)
+        _expect(obj is not None, fid, fact, f"database carries no {source}")
+        ran, expected = db._reran.get(source, (None, None))
+        if ran is not obj:
+            try:
+                expected = {c[:4] for c in rerun(db.ctx, obj)}
+            except errors as exc:
+                _expect(False, fid, fact, f"re-running the {source} fails: {exc}")
+            db._reran[source] = (obj, expected)
+        _expect((fact.lhs, fact.rhs, fact.rule, tuple(fact.params)) in expected, fid, fact,
+                f"re-running the {source} does not reproduce it")
+    check.source = source
+    replays(*rules)(check)
 
 
-def expect_rerun(db: FactDB, fid: int, fact: TukeyFact, source: str,
-                 rerun: Callable, errors: tuple) -> None:
-    """Checks a fact and its params against the (lhs, rhs, rule, params, ...)
-    tuples ``rerun(ctx, db.meta[source])`` returns.  It re-runs once per
-    object, so replacing the object invalidates the result; an error of a
-    type in `errors` fails the fact."""
-    if shape_only(db, fact):
-        return
-    obj = db.meta.get(source)
-    _expect(obj is not None, fid, fact, f"database carries no {source}")
-    ran, expected = db.meta.get(f"_{source}_expected", (None, None))
-    if ran is not obj:
-        try:
-            expected = {c[:4] for c in rerun(db.ctx, obj)}
-        except errors as exc:
-            _expect(False, fid, fact, f"re-running the {source} fails: {exc}")
-        db.meta[f"_{source}_expected"] = (obj, expected)
-    _expect((fact.lhs, fact.rhs, fact.rule, tuple(fact.params)) in expected, fid, fact,
-            f"re-running the {source} does not reproduce it")
-
-
-@replays("seed:diagram", "seed:prs-equiv", "seed:ideal-cover", "seed:prs-meager")
-def _replay_seed(db, fid, fact):
-    if shape_only(db, fact):
-        return
-    expected = db.meta.get("_seed_expected")
-    if expected is None:
-        expected = {(l, r, rule) for l, r, rule, _ in seed_facts(db.ctx, db.forced_c)}
-        db.meta["_seed_expected"] = expected
-    _expect((fact.lhs, fact.rhs, fact.rule) in expected, fid, fact,
-            "not among the seed facts for this context")
+replays_source("seed", "seed:diagram", "seed:prs-equiv", "seed:ideal-cover",
+               "seed:prs-meager", rerun=seed_facts)
 
 
 @replays("rule:dual", premises=1)
@@ -494,7 +481,12 @@ def _replay(db: FactDB):
             if not 0 <= p < fid:
                 raise ReplayError(f"fact {fid}: premise {p} does not precede it")
         try:
-            fn(db, fid, fact)
+            if db.meta is None and hasattr(fn, "source"):
+                # a trace carries no sources: only check the fact is well formed
+                validate_expr(db.ctx, fact.lhs)
+                validate_expr(db.ctx, fact.rhs)
+            else:
+                fn(db, fid, fact)
         except (CardError, ExprError) as exc:
             raise ReplayError(f"fact {fid}: {type(exc).__name__}: {exc}") from exc
 
@@ -540,8 +532,8 @@ def check_trace(ctx: CardContext, lines) -> int:
     number of facts checked.
 
     The structural rules re-derive from the trace alone.  The trace carries
-    no ``meta``, so the seed, recipe, axiom and plan rules are only checked
-    for shape (see `shape_only`)."""
+    no ``meta``, so the facts of the seed, recipe, axiom and plan rules are
+    only checked to be well formed (see `_replay`)."""
     db = FactDB(ctx)
     db.facts, db.meta = parse_trace(lines), None
     _replay(db)

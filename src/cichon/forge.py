@@ -36,19 +36,26 @@ applications share (a well-formed length, a regular uncountable cc, and
 the recipe triggers, and calls each rule once.  `validate` returns the
 failures of that pass, `run_recipe` adds its conclusions, closes the
 database and evaluates the constellation, and the replay of a `forge:`
-fact re-runs it.  `axiom_model` installs the three construction-heavy
-left-side models as axiom-level fact sets.
+fact re-runs it.
+
+`axiom_model` installs the three construction-heavy left-side models as
+axiom-level fact sets.  `AXIOMS` is their one table: for each of gksmax,
+kst and bcm its arity, the position of the forced continuum among its
+cardinals, and one function returning both its failed hypotheses and its
+conclusions.  `axiom_facts` checks a (name, cards) model against the table
+and returns its facts; `axiom_model` and the replay of an `axiom:` fact
+both call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .cards import ALEPH1, CardContext, CardError, IncomparableNames, OrdinalExpr
 from .diagram import Constellation, constellation
-from .facts import (FactDB, _expect, base_facts, card_embed, close,
-                    expect_rerun, replays, shape_only)
+from .facts import (FactDB, _expect, base_facts, card_embed, close, replays,
+                    replays_source)
 from .systems import (CIdeal, Card, Ideal, Prs, Prod, SysExpr, dual,
                       ord_expr, render)
 
@@ -377,108 +384,105 @@ def run_recipe(ctx: CardContext, r: Recipe,
 # ---------------------------------------------------------------------------
 # axiom-level models
 # ---------------------------------------------------------------------------
+#
+# Each construction is one function `(ctx, cards)` that returns its failed
+# hypotheses and its (lhs, rhs, note) conclusions, ground-model traces
+# normalized away.
 
-def axiom_requirements(ctx: CardContext, name: str, cards: tuple[str, ...]) -> list[str]:
-    miss: list[str] = []
-
-    def regular_chain(names, label):
-        for n in names:
-            if not ctx.is_regular(n):
-                miss.append(f"{label}: {n} must be regular")
-        if names and ctx.leq(ALEPH1, names[0]) is not True:
-            miss.append(f"{label}: {names[0]} must be uncountable")
-        for a, b in zip(names, names[1:]):
-            if ctx.leq(a, b) is not True:
-                miss.append(f"{label}: need {a} <= {b}")
-
-    if name == "gksmax":
-        l1, l2, l3, l4, l5 = cards
-        regular_chain([l1, l2, l3, l4], "gksmax")
-        if ctx.leq(l4, l5) is not True:
-            miss.append(f"gksmax: need {l4} <= {l5}")
-        if not ctx.has_pow_lt(l3, l3):
-            miss.append(f"gksmax: needs pow_lt({l3},{l3})={l3}")
-        if not ctx.has_pow_lt(l5, l4):
-            miss.append(f"gksmax: needs pow_lt({l5},{l4})={l5}")
-        if not ctx.has_inaccessible(l4, ALEPH1):
-            miss.append(f"gksmax: needs inaccessible({l4},aleph1)")
-    elif name == "kst":
-        l1, l2, l3, l4, l5 = cards
-        regular_chain([l1, l2, l3, l4], "kst")
-        if ctx.lt(l4, l5) is not True:
-            miss.append(f"kst: need {l4} < {l5}")
-        if not ctx.has_pow_lt(l2, l2):
-            miss.append(f"kst: needs pow_lt({l2},{l2})={l2}")
-        if not ctx.has_pow_lt(l5, l4):
-            miss.append(f"kst: needs pow_lt({l5},{l4})={l5}")
-        for l in (l3, l4):
-            if not ctx.has_inaccessible(l, ALEPH1):
-                miss.append(f"kst: needs inaccessible({l},aleph1)")
-    elif name == "bcm":
-        l0, l1, l2, l3, l4, l5, l6 = cards
-        regular_chain([l0, l1, l2, l3, l4, l5], "bcm")
-        if ctx.leq(l5, l6) is not True:
-            miss.append(f"bcm: need {l5} <= {l6}")
-        if not ctx.has_pow_lt(l6, l3):
-            miss.append(f"bcm: needs pow_lt({l6},{l3})={l6}")
-    else:
-        raise ForgeError(f"unknown axiom model {name!r}")
+def _regular_chain(ctx: CardContext, names, label: str) -> list[str]:
+    miss = [f"{label}: {n} must be regular" for n in names if not ctx.is_regular(n)]
+    if names and ctx.leq(ALEPH1, names[0]) is not True:
+        miss.append(f"{label}: {names[0]} must be uncountable")
+    miss += [f"{label}: need {a} <= {b}" for a, b in zip(names, names[1:])
+             if ctx.leq(a, b) is not True]
     return miss
 
 
-def axiom_facts(name: str, cards: tuple[str, ...]) -> list[tuple[SysExpr, SysExpr, str]]:
-    """(lhs, rhs, note) conclusions of the named construction, ground-model
-    traces normalized away."""
-    out = []
-    if name == "gksmax":
-        l5 = cards[4]
-        note = "the left-side construction pins each system to a small-set covering"
-        for i in range(1, 5):
-            ci = CIdeal(l5, cards[i - 1])
-            out += [(Prs(_ALL_ATOMS[i - 1]), ci, note), (ci, Prs(_ALL_ATOMS[i - 1]), note)]
-    elif name == "kst":
-        l1, l2, l3, l4, l5 = cards
-        note = "the alternative left-side construction pins each system to a small-set ideal"
-        for atom, th in (("Lc", l1), ("Cn", l3), ("ww", l2), ("Mg", l4)):
-            ideal = Ideal(l5, th)
-            out += [(Prs(atom), ideal, note), (ideal, Prs(atom), note)]
-    elif name == "bcm":
-        l0, l1, l2, l3, l4, l5, l6 = cards
-        note = "the three-values construction pins the first three systems"
-        for i in range(1, 4):
-            ci = CIdeal(l6, cards[i])
-            out += [(Prs(_ALL_ATOMS[i - 1]), ci, note), (ci, Prs(_ALL_ATOMS[i - 1]), note)]
-        note4 = "the meager covering sits between two regulars and below their product"
-        out += [
-            (Card(l4), Prs("Mg"), note4),
-            (Card(l5), Prs("Mg"), note4),
-            (Prs("Mg"), Prod((Card(l5), Card(l4))), note4),
-        ]
-    else:
+def _pinned(systems, note: str) -> list[tuple]:
+    """Polish system i Tukey-equivalent to the i-th given system."""
+    return [pair for atom, sys_ in zip(_ALL_ATOMS, systems)
+            for pair in ((Prs(atom), sys_, note), (sys_, Prs(atom), note))]
+
+
+def gksmax(ctx: CardContext, cards: tuple[str, ...]) -> tuple[list[str], list[tuple]]:
+    l1, l2, l3, l4, l5 = cards
+    miss = _regular_chain(ctx, [l1, l2, l3, l4], "gksmax")
+    if ctx.leq(l4, l5) is not True:
+        miss.append(f"gksmax: need {l4} <= {l5}")
+    if not ctx.has_pow_lt(l3, l3):
+        miss.append(f"gksmax: needs pow_lt({l3},{l3})={l3}")
+    if not ctx.has_pow_lt(l5, l4):
+        miss.append(f"gksmax: needs pow_lt({l5},{l4})={l5}")
+    if not ctx.has_inaccessible(l4, ALEPH1):
+        miss.append(f"gksmax: needs inaccessible({l4},aleph1)")
+    note = "the left-side construction pins each system to a small-set covering"
+    return miss, _pinned([CIdeal(l5, l) for l in cards[:4]], note)
+
+
+def kst(ctx: CardContext, cards: tuple[str, ...]) -> tuple[list[str], list[tuple]]:
+    l1, l2, l3, l4, l5 = cards
+    miss = _regular_chain(ctx, [l1, l2, l3, l4], "kst")
+    if ctx.lt(l4, l5) is not True:
+        miss.append(f"kst: need {l4} < {l5}")
+    if not ctx.has_pow_lt(l2, l2):
+        miss.append(f"kst: needs pow_lt({l2},{l2})={l2}")
+    if not ctx.has_pow_lt(l5, l4):
+        miss.append(f"kst: needs pow_lt({l5},{l4})={l5}")
+    miss += [f"kst: needs inaccessible({l},aleph1)" for l in (l3, l4)
+             if not ctx.has_inaccessible(l, ALEPH1)]
+    note = "the alternative left-side construction pins each system to a small-set ideal"
+    return miss, _pinned([Ideal(l5, l) for l in (l1, l3, l2, l4)], note)
+
+
+def bcm(ctx: CardContext, cards: tuple[str, ...]) -> tuple[list[str], list[tuple]]:
+    l0, l1, l2, l3, l4, l5, l6 = cards
+    miss = _regular_chain(ctx, [l0, l1, l2, l3, l4, l5], "bcm")
+    if ctx.leq(l5, l6) is not True:
+        miss.append(f"bcm: need {l5} <= {l6}")
+    if not ctx.has_pow_lt(l6, l3):
+        miss.append(f"bcm: needs pow_lt({l6},{l3})={l6}")
+    out = _pinned([CIdeal(l6, l) for l in (l1, l2, l3)],
+                  "the three-values construction pins the first three systems")
+    note = "the meager covering sits between two regulars and below their product"
+    out += [(Card(l4), Prs("Mg"), note), (Card(l5), Prs("Mg"), note),
+            (Prs("Mg"), Prod((Card(l5), Card(l4))), note)]
+    return miss, out
+
+
+@dataclass(frozen=True)
+class Axiom:
+    arity: int
+    c_at: int            # position of the forced continuum among the cards
+    construct: Callable  # (ctx, cards) -> (failed hypotheses, conclusions)
+
+
+AXIOMS = {"gksmax": Axiom(5, 4, gksmax), "kst": Axiom(5, 4, kst), "bcm": Axiom(7, 6, bcm)}
+
+
+def axiom_facts(ctx: CardContext, model: tuple[str, tuple[str, ...]]) -> list[tuple]:
+    """(lhs, rhs, rule, params, note) conclusions of the axiom model
+    (name, cards); raises unless its name, arity and hypotheses check."""
+    name, cards = model
+    axiom = AXIOMS.get(name)
+    if axiom is None:
         raise ForgeError(f"unknown axiom model {name!r}")
-    return out
-
-
-_AXIOM_C = {"gksmax": 4, "kst": 4, "bcm": 6}  # index of the forced continuum
-AXIOM_ARITY = {"gksmax": 5, "kst": 5, "bcm": 7}
+    if len(cards) != axiom.arity:
+        raise ForgeError(f"{name} takes {axiom.arity} cardinals")
+    for c in cards:
+        ctx.check(c)
+    miss, conclusions = axiom.construct(ctx, cards)
+    if miss:
+        raise MissingAssumption("; ".join(miss))
+    return [(lhs, rhs, f"axiom:{name}", cards, note) for lhs, rhs, note in conclusions]
 
 
 def axiom_model(ctx: CardContext, name: str, cards: Sequence[str]) -> DerivedModel:
     cards = tuple(cards)
-    if name not in AXIOM_ARITY:
-        raise ForgeError(f"unknown axiom model {name!r}")
-    if len(cards) != AXIOM_ARITY[name]:
-        raise ForgeError(f"{name} takes {AXIOM_ARITY[name]} cardinals")
-    for c in cards:
-        ctx.check(c)
-    miss = axiom_requirements(ctx, name, cards)
-    if miss:
-        raise MissingAssumption("; ".join(miss))
-    forced = cards[_AXIOM_C[name]]
-    db = base_facts(ctx, forced)
+    conclusions = axiom_facts(ctx, (name, cards))
+    db = base_facts(ctx, cards[AXIOMS[name].c_at])
     db.meta["axiom"] = (name, cards)
-    for lhs, rhs, note in axiom_facts(name, cards):
-        db.add(lhs, rhs, f"axiom:{name}", params=cards, note=note)
+    for lhs, rhs, rule, params, note in conclusions:
+        db.add(lhs, rhs, rule, params=params, note=note)
     close(db)
     return DerivedModel(db, constellation(db), (f"axiom {name}",))
 
@@ -491,13 +495,13 @@ def _recipe_facts(ctx: CardContext, r: Recipe) -> list[tuple]:
     failures, done = run_rules(ctx, r)
     if failures:
         raise MissingAssumption("; ".join(failures))
-    return [(lhs, rhs, rule, params) for _, conclusions, params in done
-            for lhs, rhs, rule, _ in conclusions]
+    return [(lhs, rhs, rule, params, note) for _, conclusions, params in done
+            for lhs, rhs, rule, note in conclusions]
 
 
-@replays(*RECIPE_RULES)
-def _replay_recipe_rule(db, fid, fact):
-    expect_rerun(db, fid, fact, "recipe", _recipe_facts, (ForgeError, CardError))
+replays_source("recipe", *RECIPE_RULES, rerun=_recipe_facts, errors=(ForgeError, CardError))
+replays_source("axiom", *(f"axiom:{name}" for name in AXIOMS), rerun=axiom_facts,
+               errors=(ForgeError, CardError))
 
 
 @replays("forge:preEUB-card", premises=1)
@@ -506,18 +510,3 @@ def _replay_preeub_card(db, fid, fact):
     _expect(isinstance(base.lhs, CIdeal) and fact.rhs == base.rhs
             and (fact.lhs, base.lhs) in card_embed(db.ctx, base.lhs), fid, fact,
             "not a regular cardinal below the premise's covering system")
-
-
-@replays(*(f"axiom:{name}" for name in AXIOM_ARITY))
-def _replay_axiom(db, fid, fact):
-    if shape_only(db, fact):
-        return
-    meta = db.meta.get("axiom")
-    _expect(meta is not None, fid, fact, "database carries no axiom model")
-    name, cards = meta
-    _expect(fact.rule == f"axiom:{name}", fid, fact, "rule/model mismatch")
-    _expect(tuple(fact.params) == tuple(cards), fid, fact, "parameter mismatch")
-    miss = axiom_requirements(db.ctx, name, tuple(cards))
-    _expect(not miss, fid, fact, f"hypotheses fail: {miss}")
-    expected = {(l, r) for l, r, _ in axiom_facts(name, tuple(cards))}
-    _expect(fact.key() in expected, fid, fact, "not a conclusion of the model")

@@ -30,8 +30,8 @@ from typing import Optional, Sequence
 
 from .cards import ALEPH0, ALEPH1, CardContext, IncomparableNames
 from .diagram import Constellation, constellation, intrinsic_bounds
-from .facts import FactDB, base_facts, close, expect_rerun, replays
-from .forge import ForgeError, MissingAssumption, axiom_requirements
+from .facts import FactDB, base_facts, close, replays_source
+from .forge import AXIOMS, ForgeError, MissingAssumption
 from .systems import Card, Prod, Prs, render
 
 PRS_ORDER = ("Lc", "Cn", "ww", "Mg")  # systems 1..4
@@ -121,7 +121,7 @@ def init_from_gksmax(ctx: CardContext, base: Sequence[str]) -> list[SysState]:
     for name in base:
         if not ctx.has(name):
             raise MissingAssumption(f"context does not declare {name}")
-    miss = axiom_requirements(ctx, "gksmax", base)
+    miss = AXIOMS["gksmax"].construct(ctx, base)[0]
     if miss:
         raise MissingAssumption("; ".join(miss))
     tinf = base[4]
@@ -215,7 +215,7 @@ def plan_diagnostics(ctx: CardContext, p: Plan) -> list[str]:
         if not ctx.has(name):
             diags.append(f"context does not declare {name}")
             return diags
-    diags += axiom_requirements(ctx, "gksmax", p.base)
+    diags += AXIOMS["gksmax"].construct(ctx, p.base)[0]
 
     widths = [s.width for s in p.steps[:-1]]
     for a, b in zip(widths, widths[1:]):
@@ -371,7 +371,6 @@ def format_tables(ctx: CardContext, p: Plan, log: TableLog) -> str:
 # replay entries
 # ---------------------------------------------------------------------------
 
-@replays("plan:product-bound", "plan:regular-below")
-def _replay_plan(db, fid, fact):
-    expect_rerun(db, fid, fact, "plan", lambda ctx, p: plan_facts(ctx, run_steps(ctx, p)),
-                 (ForgeError, SubmodelError))
+replays_source("plan", "plan:product-bound", "plan:regular-below",
+               rerun=lambda ctx, p: plan_facts(ctx, run_steps(ctx, p)),
+               errors=(ForgeError, SubmodelError))

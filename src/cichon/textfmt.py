@@ -34,8 +34,10 @@ comment.  Shape:
 Context blocks concatenate.  Any other block is given once per kind and
 name, and a single-valued statement (`length`, `cc`, `base`, `cards`, a
 slot's `bookkeeping`, an assigned entry) once per block: a repeat is a
-ParseError, never an override.  An axiom block is named after one of the
-construction models in `forge.AXIOM_ARITY` and lists that many cardinals.
+ParseError, never an override; so is a repeated plan step (a second
+`final`, or a second `chain d 4`).  An axiom block is named after one of
+the construction models in `forge.AXIOMS` and lists as many cardinals as
+its entry's arity.
 
 `parse` produces a RecipeFile whose rendering parses back to an equal
 value (round-trip stability is part of the test suite).
@@ -50,7 +52,7 @@ from typing import Optional
 
 from .cards import ALEPH1, CardContext, CardError
 from .diagram import ENTRIES
-from .forge import AXIOM_ARITY, ForgeError, Recipe, Slot, iterand
+from .forge import AXIOMS, ForgeError, Recipe, Slot, iterand
 from .submodel import ChainSpec, Plan
 from .systems import ATOM_ALIASES, PRS_ATOMS
 
@@ -233,9 +235,9 @@ def _parse_recipe(name, body) -> Recipe:
 
 
 def _parse_axiom(name, header, body) -> tuple[str, ...]:
-    if name not in AXIOM_ARITY:
+    if name not in AXIOMS:
         raise ParseError(f"unknown axiom model {name!r} (expected one of "
-                         f"{', '.join(AXIOM_ARITY)})", header)
+                         f"{', '.join(AXIOMS)})", header)
     cards = None
     for line, stmt in body:
         toks = stmt.split(None, 1)
@@ -243,8 +245,8 @@ def _parse_axiom(name, header, body) -> tuple[str, ...]:
             raise ParseError(f"unknown axiom statement {stmt!r}", line)
         _first(cards, "cards", line)
         cards = tuple(_check_name(t.strip(), line) for t in toks[1].split(","))
-        if len(cards) != AXIOM_ARITY[name]:
-            raise ParseError(f"{name} takes {AXIOM_ARITY[name]} cardinals", line)
+        if len(cards) != AXIOMS[name].arity:
+            raise ParseError(f"{name} takes {AXIOMS[name].arity} cardinals", line)
     if cards is None:
         raise ParseError(f"axiom {name} has no cards", header)
     return cards
@@ -278,6 +280,8 @@ def _parse_plan(name, body) -> tuple[Plan, list[tuple[int, str]]]:
             if not m:
                 raise ParseError(f"bad chain {stmt!r}", line)
             kind, idx, length, closure, width = m.groups()
+            if any((s.kind, s.index) == (kind, int(idx)) for s in steps):
+                raise ParseError(f"chain {kind} {idx} given twice", line)
             if closure.startswith("succ("):
                 inner = closure[len("succ("):-1].strip()
                 succ_fixups.append((len(steps), inner, line))
@@ -287,6 +291,7 @@ def _parse_plan(name, body) -> tuple[Plan, list[tuple[int, str]]]:
             m = _FINAL.match(stmt)
             if not m:
                 raise ParseError(f"bad final {stmt!r}", line)
+            _first(final_width, "final", line)
             final_width = m.group(1)
             steps.append(ChainSpec("final", None, None, ALEPH1, final_width))
         else:

@@ -224,6 +224,43 @@ def test_repeated_statement_exits_2(tmp_path, capsys):
     assert code == 2 and out == "" and "line 16: length given twice" in err
 
 
+@pytest.mark.parametrize("step,label", [
+    ("  final (lamc);\n", "final"),
+    ("  chain d 4 (lam4d, succ(th4m), th4);\n", "chain d 4"),
+], ids=["final", "chain"])
+def test_repeated_plan_step_exits_2(tmp_path, capsys, step, label):
+    rf = builtin_file("cichon_max")
+    text = render_file(rf, rf.ctx())
+    at = text.index(step) + len(step)
+    path = tmp_path / "twice.rcp"
+    path.write_text(text[:at] + step + text[at:])
+    code, out, err = run(capsys, "intersect", str(path), "--plan", "cichon_max")
+    line = text.count("\n", 0, at) + 1
+    assert code == 2 and out == "" and f"line {line}: {label} given twice" in err
+
+
+def test_only_builtin_lookups_parse_the_model_files(tmp_path):
+    """A fresh interpreter: importing the CLI, deriving from a file and the
+    finite oracle leave cichon.builtins unimported; a builtin name loads it."""
+    rf = builtin_file("mod1")
+    (tmp_path / "mod1.rcp").write_text(render_file(rf, rf.ctx()))
+    (tmp_path / "id2.sys").write_text("2 2\n10\n01\n")
+    code = """if True:
+        import sys
+        from cichon.cli import main
+        assert "cichon.builtins" not in sys.modules
+        assert main(["derive", "mod1.rcp", "--recipe", "mod1"]) == 0
+        assert main(["finite", "d", "id2.sys"]) == 0
+        assert "cichon.builtins" not in sys.modules
+        assert main(["derive", "--recipe", "cohen"]) == 0
+        assert "cichon.builtins" in sys.modules
+    """
+    env = dict(os.environ, PYTHONPATH=SRC)
+    p = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path, env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+
+
 def test_finite_zero_size_header_exits_2(tmp_path, capsys):
     for header in ("0 0", "0 3", "2 0"):
         bad = tmp_path / "empty.sys"

@@ -3,9 +3,14 @@ conclusion ends in ReplayError, from `verify` on a live database and, for
 the rules a trace can re-derive alone, from `check_trace` on its rendering."""
 
 import dataclasses
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
+from cichon import forge
 from cichon.builtins import builtin
 from cichon.cards import ALEPH1, ContextBuilder
 from cichon.facts import REPLAY, FactDB, ReplayError, check_trace, close, verify
@@ -178,6 +183,66 @@ def test_verify_needs_the_recipe():
     del db.meta["recipe"]
     with pytest.raises(ReplayError, match="no recipe"):
         verify(db)
+
+
+@pytest.mark.parametrize("name,source,change,msg", [
+    ("mod1", "seed", lambda m: None, "database carries no seed"),
+    ("gksmax", "axiom", lambda m: None, "database carries no axiom"),
+    ("cichon_max", "plan", lambda m: None, "database carries no plan"),
+    ("gksmax", "axiom", lambda m: (m[0], m[1][::-1]),
+     "re-running the axiom fails: gksmax: need lam5 <= lam4"),
+    ("kst", "axiom", lambda m: (m[0], m[1][:-1]),
+     "re-running the axiom fails: kst takes 5 cardinals"),
+    ("bcm", "axiom", lambda m: ("nope", m[1]),
+     "re-running the axiom fails: unknown axiom model 'nope'"),
+], ids=["no-seed", "no-axiom", "no-plan", "axiom-hypothesis", "axiom-arity",
+        "axiom-name"])
+def test_verify_rechecks_the_source(name, source, change, msg):
+    """The recipe case is test_verify_needs_the_recipe and the ones below."""
+    db = derive(name)
+    verify(db)
+    new = change(db.meta.pop(source))
+    if new is not None:
+        db.meta[source] = new
+    with pytest.raises(ReplayError, match=re.escape(msg)):
+        verify(db)
+
+
+@pytest.mark.parametrize("name", ["gksmax", "kst", "bcm"])
+def test_verify_runs_the_construction_once_per_database(monkeypatch, name):
+    db = derive(name)
+    entry, calls = forge.AXIOMS[name], []
+
+    def construct(ctx, cards):
+        calls.append(cards)
+        return entry.construct(ctx, cards)
+    monkeypatch.setitem(forge.AXIOMS, name, dataclasses.replace(entry, construct=construct))
+    verify(db)
+    verify(db)
+    assert sum(f.rule == f"axiom:{name}" for f in db.facts) > 1
+    assert calls == [db.meta["axiom"][1]]
+
+
+def test_replay_table_is_complete_without_the_builtins():
+    """A fresh interpreter: `from cichon.facts import REPLAY` alone registers
+    a check for every rule any builtin records."""
+    code = """if True:
+        import sys
+        from cichon.facts import REPLAY
+        assert "cichon.builtins" not in sys.modules
+        rules = set(REPLAY)
+        from cichon.builtins import BUILTINS
+        from cichon.submodel import run_plan
+        for name, b in BUILTINS.items():
+            db = run_plan(b.ctx(), b.plan).db if b.kind == "plan" else b.derive().db
+            missing = {f.rule for f in db.facts} - rules
+            assert not missing, (name, missing)
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(forge.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    p = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
 
 
 def test_verify_rechecks_the_plan_hypotheses():

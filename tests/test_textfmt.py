@@ -162,7 +162,10 @@ def test_axiom_block_errors(block, error, msg):
     ("cichon_max", "addN = lam1b;", "addN = lam1b;\n  addN = lam2b;"),
     ("gksmax", "cards lam1, lam2, lam3, lam4, lam5;",
      "cards lam1, lam2, lam3, lam4, lam5;\n  cards lam1, lam2, lam3, lam4, lam4;"),
-], ids=["length", "cc", "bookkeeping", "base", "assigned-entry", "cards"])
+    ("cichon_max", "final (lamc);", "final (lamc);\n  final (lamc);"),
+    ("cichon_max", "chain d 4 (lam4d, succ(th4m), th4);",
+     "chain d 4 (lam4d, succ(th4m), th4);\n  chain d 4 (lam4d, succ(th4m), th4);"),
+], ids=["length", "cc", "bookkeeping", "base", "assigned-entry", "cards", "final", "chain"])
 def test_repeated_single_valued_statement_is_rejected(name, old, new):
     """A second statement that would override the first is an error naming
     its own line, never a silent override."""
