@@ -27,13 +27,13 @@ over the le/lt/succ edges), and ``_strict[i]`` those with names[i] <= u < v
 rows; a name whose ``_strict`` row holds itself is a strict cycle.
 
 Ordinal expressions are restricted to finite products of regular
-cardinals, the only iteration lengths the engines ever build; their
-cofinality is the last factor and their cardinality the largest one.
+cardinals, the only iteration lengths the engines ever build, and are held
+as their tuple of factors; their cofinality is the last factor and their
+cardinality the largest one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 ALEPH0 = "aleph0"
@@ -71,20 +71,6 @@ class IncomparableNames(CardError):
 
 class BadSuccessor(CardError):
     pass
-
-
-@dataclass(frozen=True)
-class OrdinalExpr:
-    """Left-to-right ordinal product of regular cardinals, e.g. lam5*lam4."""
-
-    factors: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.factors:
-            raise ValueError("ordinal expression needs at least one factor")
-
-    def __str__(self):
-        return "*".join(self.factors)
 
 
 # Declarations are (kind, *args) tuples mirroring the context block of the
@@ -275,24 +261,28 @@ class CardContext:
 
     # -- ordinal expressions ---------------------------------------------------
 
-    def ordinal(self, factors: Sequence[str]) -> OrdinalExpr:
+    def ordinal(self, factors: Sequence[str]) -> tuple[str, ...]:
+        """The factors of a left-to-right ordinal product of regular
+        cardinals, e.g. lam5*lam4, checked."""
+        if not factors:
+            raise ValueError("ordinal expression needs at least one factor")
         for f in factors:
             self.check(f)
             if not self.is_regular(f):
                 raise NonRegularFactor(f)
-        return OrdinalExpr(tuple(factors))
+        return tuple(factors)
 
-    def cf(self, e: OrdinalExpr) -> str:
+    def cf(self, factors: tuple[str, ...]) -> str:
         """Cofinality of the product: the last (regular) factor."""
-        for f in e.factors:
+        for f in factors:
             if not self.is_regular(f):
                 raise NonRegularFactor(f)
-        return e.factors[-1]
+        return factors[-1]
 
-    def card(self, e: OrdinalExpr) -> str:
+    def card(self, factors: tuple[str, ...]) -> str:
         """Cardinality of the product: the largest factor."""
         try:
-            return self.max_of(e.factors)
+            return self.max_of(factors)
         except IncomparableNames as exc:
             raise IncomparableFactors(str(exc)) from None
 

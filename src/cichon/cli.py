@@ -209,9 +209,6 @@ def main(argv=None) -> int:
     except (CliInputError, CardError, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except finite.SearchSpaceTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (forge.ForgeError, submodel.SubmodelError, FactError,
             diagram.DiagramError, finite.FiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,7 +6,9 @@ gets an interval of cardinal names.  Intrinsically valued expressions
 finite products, duals of these) have closed-form bounds; the four Polish
 atoms and the two sigma-ideal orders are bounded by harvesting the closed
 fact database through the monotonicity corollary: lhs <= rhs in the Tukey
-order pushes the unbounding number down and the dominating number up.
+order pushes the unbounding number down and the dominating number up.  The
+harvest reads only the facts with the atom on one side, from the by-lhs and
+by-rhs lists the database keeps per expression.
 
 `constellation` combines the harvested intervals with the two dependent
 equations add(M) = min(b, cov(M)) and cof(M) = max(d, non(M)) and with
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cards import ALEPH1, CardContext, IncomparableNames, OrdinalExpr
+from .cards import ALEPH1, CardContext, IncomparableNames
 from .facts import FactDB
 from .systems import (CIdeal, Card, Dual, Ideal, IdealSys, Ord, Prod, Prs,
                       SysExpr, render)
@@ -114,7 +116,7 @@ def intrinsic_bounds(ctx: CardContext, e: SysExpr) -> Optional[tuple[Interval, I
         v = Interval(e.name, e.name)
         return v, v
     if isinstance(e, Ord):
-        cf = ctx.cf(OrdinalExpr(e.factors))
+        cf = ctx.cf(e.factors)
         v = Interval(cf, cf)
         return v, v
     if isinstance(e, Dual):
@@ -164,23 +166,23 @@ def value_bounds(db: FactDB, e: SysExpr) -> tuple[Interval, Interval]:
     if db.forced_c is not None:
         b_hi.append(db.forced_c)
         d_hi.append(db.forced_c)
-    for f in db.facts:
-        if f.lhs == e:
-            val = intrinsic_bounds(ctx, f.rhs)
-            if val is not None:
-                vb, vd = val
-                if vb.lo is not None:
-                    b_lo.append(vb.lo)   # b(e) >= b(rhs)
-                if vd.hi is not None:
-                    d_hi.append(vd.hi)   # d(e) <= d(rhs)
-        if f.rhs == e:
-            val = intrinsic_bounds(ctx, f.lhs)
-            if val is not None:
-                vb, vd = val
-                if vb.hi is not None:
-                    b_hi.append(vb.hi)   # b(e) <= b(lhs)
-                if vd.lo is not None:
-                    d_lo.append(vd.lo)   # d(e) >= d(lhs)
+    k = db.ids.get(e)
+    for j in db.by_lhs[k] if k is not None else ():
+        val = intrinsic_bounds(ctx, db.facts[j].rhs)
+        if val is not None:
+            vb, vd = val
+            if vb.lo is not None:
+                b_lo.append(vb.lo)   # b(e) >= b(rhs)
+            if vd.hi is not None:
+                d_hi.append(vd.hi)   # d(e) <= d(rhs)
+    for j in db.by_rhs[k] if k is not None else ():
+        val = intrinsic_bounds(ctx, db.facts[j].lhs)
+        if val is not None:
+            vb, vd = val
+            if vb.hi is not None:
+                b_hi.append(vb.hi)   # b(e) <= b(lhs)
+            if vd.lo is not None:
+                d_lo.append(vd.lo)   # d(e) >= d(lhs)
     b = Interval(_extreme(ctx, b_lo, upper=True), _extreme(ctx, b_hi, upper=False))
     d = Interval(_extreme(ctx, d_lo, upper=True), _extreme(ctx, d_hi, upper=False))
     for iv, what in ((b, "b"), (d, "d")):

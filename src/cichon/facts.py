@@ -22,12 +22,14 @@ meager covering system.
 * monotonicity of the small-subset covering systems in both parameters,
 * a limit ordinal product is Tukey-equivalent to its cofinality.
 
-The closure is held over small ints.  `close` interns every expression once
-per call, in a table of its own, and gives each id an out-row and an
-in-row: ``int`` bitmasks of the ids it has facts to and from.  A candidate
-that is already a fact is dropped by one bit test, before any expression
-is hashed; only new facts reach `FactDB.add`, which validates them and is
-the only way a fact enters the database.
+`FactDB` holds the one index of its facts, over small ints: it interns
+each expression once, validating it then, and gives each id an out-row and
+an in-row (``int`` bitmasks of the ids it has facts to and from) and the
+fact ids with it on either side.  `close` runs on those ids and rows and
+keeps only its worklist and per-call marks: a candidate that is already a
+fact is dropped by one bit test, before any expression is hashed, and only
+new facts reach `FactDB.add`, the only way a fact enters the database.
+`diagram.value_bounds` reads the same by-side lists.
 
 Each rule is defined once, in the `REPLAY` table: its premise count and
 one check that re-derives the fact.  The per-expression rules and the
@@ -48,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .cards import ALEPH1, CONTINUUM, CardContext, CardError, OrdinalExpr
+from .cards import ALEPH1, CONTINUUM, CardContext, CardError
 from .systems import (CIdeal, Card, CoverSys, ExprError, Ideal, IdealSys, Ord,
                       Prod, R1, R2, R3, R4, SysExpr, dual, parse_expr, render,
                       subexpressions, validate_expr)
@@ -84,7 +86,17 @@ class TukeyFact:
 
 
 class FactDB:
-    """Ordered store of facts; ids are list positions."""
+    """Ordered store of facts; ids are list positions.
+
+    The database is also the one index of its facts.  Each distinct
+    expression gets an int id when first seen, and is validated then, once.
+    Per expression id it keeps an out-row and an in-row, ``int`` bitmasks of
+    the ids it has facts to and from, and the ids of the facts with it as
+    lhs and as rhs, in id order; per fact id, the ids of its two sides.
+    `add` is the only way a fact enters a live database: it drops a
+    duplicate by one bit test, and `has`, `id_of` and `pairs` read the same
+    rows.  A parsed trace assigns ``facts`` directly and is never indexed.
+    """
 
     def __init__(self, ctx: CardContext, forced_c: Optional[str] = None):
         if forced_c is not None:
@@ -94,7 +106,14 @@ class FactDB:
         self.ctx = ctx
         self.forced_c = forced_c
         self.facts: list[TukeyFact] = []
-        self._index: dict[tuple[SysExpr, SysExpr], int] = {}
+        self.ids: dict[SysExpr, int] = {}
+        self.exprs: list[SysExpr] = []
+        self.out: list[int] = []            # out[a]: bit c set when a <= c is a fact
+        self.into: list[int] = []           # into[c]: bit a set when a <= c is a fact
+        self.by_lhs: list[list[int]] = []   # by_lhs[a]: fact ids with lhs a, in id order
+        self.by_rhs: list[list[int]] = []
+        self.lhs_of: list[int] = []         # per fact id, the id of its lhs
+        self.rhs_of: list[int] = []
         self.closed = False
         # the sources the facts re-run from, by name: the continuum the seeds
         # follow, and the recipe, axiom model or plan; None for a parsed trace
@@ -105,29 +124,48 @@ class FactDB:
     def c_name(self) -> str:
         return self.forced_c if self.forced_c is not None else CONTINUUM
 
+    def intern(self, e: SysExpr) -> int:
+        """The id of e, validating and indexing it when first seen."""
+        k = self.ids.get(e)
+        if k is None:
+            validate_expr(self.ctx, e)
+            k = self.ids[e] = len(self.exprs)
+            self.exprs.append(e)
+            self.out.append(0)
+            self.into.append(0)
+            self.by_lhs.append([])
+            self.by_rhs.append([])
+        return k
+
     def add(self, lhs: SysExpr, rhs: SysExpr, rule: str, premises=(),
             params=(), note: str = "") -> Optional[int]:
         """Record a fact; returns its id, or None if already present."""
-        key = (lhs, rhs)
-        if key in self._index:
+        a, c = self.intern(lhs), self.intern(rhs)
+        if self.out[a] >> c & 1:
             return None
-        validate_expr(self.ctx, lhs)
-        validate_expr(self.ctx, rhs)
-        fact = TukeyFact(lhs, rhs, rule, tuple(premises), tuple(params), note)
-        self.facts.append(fact)
-        fid = len(self.facts) - 1
-        self._index[key] = fid
+        fid = len(self.facts)
+        self.facts.append(TukeyFact(lhs, rhs, rule, tuple(premises), tuple(params), note))
+        self.lhs_of.append(a)
+        self.rhs_of.append(c)
+        self.out[a] |= 1 << c
+        self.into[c] |= 1 << a
+        self.by_lhs[a].append(fid)
+        self.by_rhs[c].append(fid)
         self.closed = False
         return fid
 
     def has(self, lhs: SysExpr, rhs: SysExpr) -> bool:
-        return (lhs, rhs) in self._index
+        a, c = self.ids.get(lhs), self.ids.get(rhs)
+        return a is not None and c is not None and bool(self.out[a] >> c & 1)
 
     def id_of(self, lhs: SysExpr, rhs: SysExpr) -> int:
-        return self._index[(lhs, rhs)]
+        if not self.has(lhs, rhs):
+            raise KeyError((lhs, rhs))
+        c = self.ids[rhs]
+        return next(j for j in self.by_lhs[self.ids[lhs]] if self.rhs_of[j] == c)
 
     def pairs(self) -> set[tuple[SysExpr, SysExpr]]:
-        return set(self._index)
+        return {(self.exprs[a], self.exprs[c]) for a, c in zip(self.lhs_of, self.rhs_of)}
 
     def universe(self) -> set[SysExpr]:
         out: set[SysExpr] = set()
@@ -213,7 +251,7 @@ def ideal_collapse(ctx: CardContext, e: CIdeal) -> list[tuple[SysExpr, SysExpr]]
 
 
 def ord_cofinality(ctx: CardContext, e: Ord) -> list[tuple[SysExpr, SysExpr]]:
-    cf = Card(ctx.cf(OrdinalExpr(e.factors)))
+    cf = Card(ctx.cf(e.factors))
     return [(e, cf), (cf, e)]
 
 
@@ -249,8 +287,8 @@ def close(db: FactDB, universe_limit: int = DEFAULT_UNIVERSE_LIMIT) -> FactDB:
 
     Incremental worklist evaluation: each fact is processed exactly once, in
     id order, and composed against the facts chaining through either side.
-    It runs on interned ids with bitmask rows (see the module docstring), so
-    a candidate that is already a fact costs one bit test, and a composition
+    It runs on the database's expression ids and rows (see `FactDB`), so a
+    candidate that is already a fact costs one bit test, and a composition
     loop runs only when the rows say it adds a fact.  Duplicates are only
     skipped earlier: the facts, their order and their provenance are those
     of a plain worklist that offers every candidate to `FactDB.add`.
@@ -258,59 +296,27 @@ def close(db: FactDB, universe_limit: int = DEFAULT_UNIVERSE_LIMIT) -> FactDB:
     from collections import deque
 
     ctx = db.ctx
-    ids: dict[SysExpr, int] = {}
-    exprs: list[SysExpr] = []
-    out: list[int] = []        # out[a]: bit c set when a <= c is a fact
-    into: list[int] = []       # into[c]: bit a set when a <= c is a fact
-    by_lhs: list[list[int]] = []  # fact ids with lhs a, in id order
-    by_rhs: list[list[int]] = []
-    dual_id: list[Optional[int]] = []
-    seen: list[bool] = []      # the per-expression rules have fired on it
-    expanded: list[bool] = []  # every subexpression of it is seen
-    lhs_of: list[int] = []     # per fact id
-    rhs_of: list[int] = []
+    exprs, out, into = db.exprs, db.out, db.into
+    by_lhs, by_rhs, lhs_of, rhs_of = db.by_lhs, db.by_rhs, db.lhs_of, db.rhs_of
+    intern = db.intern
+    duals: dict[int, int] = {}
+    seen: set[int] = set()      # the per-expression rules have fired on it
+    expanded: set[int] = set()  # every subexpression of it is seen
     known_cideals: list[tuple[CIdeal, int, int]] = []  # (expr, id, witness fact id)
-    queue: deque[int] = deque()
-    n_seen = 0
-
-    def intern(e: SysExpr) -> int:
-        k = ids.get(e)
-        if k is None:
-            k = ids[e] = len(exprs)
-            exprs.append(e)
-            out.append(0)
-            into.append(0)
-            by_lhs.append([])
-            by_rhs.append([])
-            dual_id.append(None)
-            seen.append(False)
-            expanded.append(False)
-        return k
+    queue: deque[int] = deque(range(len(db.facts)))
 
     def dual_of(a: int) -> int:
-        d = dual_id[a]
+        d = duals.get(a)
         if d is None:
-            d = dual_id[a] = intern(dual(exprs[a]))
+            d = duals[a] = intern(dual(exprs[a]))
         return d
 
-    def register(fid: int, a: int, c: int):
-        lhs_of.append(a)
-        rhs_of.append(c)
-        out[a] |= 1 << c
-        into[c] |= 1 << a
-        by_lhs[a].append(fid)
-        by_rhs[c].append(fid)
-        queue.append(fid)
-
     def add(a: int, c: int, rule, premises, note):
-        register(db.add(exprs[a], exprs[c], rule, premises, note=note), a, c)
+        queue.append(db.add(exprs[a], exprs[c], rule, premises, note=note))
 
     def emit(a: int, c: int, rule, premises, note=""):
         if a != c and not out[a] >> c & 1:
             add(a, c, rule, premises, note)
-
-    for fid, f in enumerate(db.facts):
-        register(fid, intern(f.lhs), intern(f.rhs))
 
     trans_note = "Tukey connections compose"
     mono_note = "small-subset covering systems are monotone in both parameters"
@@ -340,16 +346,15 @@ def close(db: FactDB, universe_limit: int = DEFAULT_UNIVERSE_LIMIT) -> FactDB:
                 if not new:
                     break
 
-        if expanded[a] and expanded[b]:
+        if a in expanded and b in expanded:
             continue
         for e in sorted(set(subexpressions(exprs[a])) | set(subexpressions(exprs[b])),
                         key=render):
             k = intern(e)
-            if seen[k]:
+            if k in seen:
                 continue
-            seen[k] = True
-            n_seen += 1
-            if n_seen > universe_limit:
+            seen.add(k)
+            if len(seen) > universe_limit:
                 raise DivergentUniverse(f"expression universe exceeds {universe_limit}")
             for rule, kind, conclude, note in EXPR_RULES:
                 if isinstance(e, kind):
@@ -362,7 +367,8 @@ def close(db: FactDB, universe_limit: int = DEFAULT_UNIVERSE_LIMIT) -> FactDB:
                     if cideal_mono(ctx, other, e):
                         emit(o, k, "rule:cideal-mono", (wj, i), note=mono_note)
                 known_cideals.append((e, k, i))
-        expanded[a] = expanded[b] = True
+        expanded.add(a)
+        expanded.add(b)
 
     db.closed = True
     return db

@@ -52,11 +52,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .cards import ALEPH1, CardContext, CardError, IncomparableNames, OrdinalExpr
+from .cards import ALEPH1, CardContext, CardError, IncomparableNames
 from .diagram import Constellation, constellation
 from .facts import (FactDB, _expect, base_facts, card_embed, close, replays,
                     replays_source)
-from .systems import (CIdeal, Card, Ideal, Prs, Prod, SysExpr, dual,
+from .systems import (PRS_ATOMS, CIdeal, Card, Ideal, Prs, Prod, SysExpr, dual,
                       ord_expr, render)
 
 
@@ -75,9 +75,6 @@ class PreconditionFailed(ForgeError):
 # ---------------------------------------------------------------------------
 # iterand catalog
 # ---------------------------------------------------------------------------
-
-_ALL_ATOMS = ("Lc", "Cn", "ww", "Mg")
-
 
 @dataclass(frozen=True)
 class IterandClass:
@@ -99,7 +96,7 @@ class IterandClass:
 COHEN = IterandClass(
     "cohen",
     adds_dominating=(dual(Prs("Mg")),),  # Cohen reals are Mg-unbounded
-    goodness=tuple((ALEPH1, a) for a in _ALL_ATOMS),  # countable, so good for all
+    goodness=tuple((ALEPH1, a) for a in PRS_ATOMS),  # countable, so good for all
 )
 RANDOM = IterandClass(
     "random",
@@ -127,7 +124,7 @@ def _sub(parent: IterandClass, theta: str) -> IterandClass:
     return IterandClass(
         parent.name + "_sub",
         adds_dominating=(),
-        goodness=parent.goodness + tuple((theta, a) for a in _ALL_ATOMS),
+        goodness=parent.goodness + tuple((theta, a) for a in PRS_ATOMS),
         size_bound=theta,
         dominates_small=parent.adds_dominating,
     )
@@ -180,9 +177,6 @@ class Recipe:
     cc: str = ALEPH1
     slots: tuple[Slot, ...] = ()
 
-    def length_expr(self, ctx: CardContext) -> OrdinalExpr:
-        return ctx.ordinal(self.length)
-
 
 @dataclass(frozen=True)
 class DerivedModel:
@@ -197,7 +191,7 @@ class DerivedModel:
 
 def fullgen(ctx: CardContext, r: Recipe, R: SysExpr) -> list[tuple]:
     """Dominating reals cofinally often: R <= length (= Mg = length for Polish R)."""
-    length = r.length_expr(ctx)
+    length = ctx.ordinal(r.length)
     cf = ctx.cf(length)
     if not any(s.cofinal and R in s.iterand.adds_dominating for s in r.slots):
         raise PreconditionFailed(f"no cofinal slot class adds {render(R)}-dominating reals")
@@ -220,7 +214,7 @@ def cohen_limit(ctx: CardContext, r: Recipe) -> list[tuple]:
     """Limit iterations add Cohen reals cofinally: length <= Mg."""
     if not r.slots:
         raise PreconditionFailed("recipe has no slots")
-    length = r.length_expr(ctx)
+    length = ctx.ordinal(r.length)
     if not ctx.uncountable(ctx.cf(length)):
         raise PreconditionFailed("cohen-limit needs uncountable cofinality")
     out = [(ord_expr(length), Prs("Mg"), "forge:cohen-limit",
@@ -244,7 +238,7 @@ def itsmallsets(ctx: CardContext, r: Recipe, R: SysExpr, theta: str) -> list[tup
         if R not in cls.dominates_small:
             raise PreconditionFailed(
                 f"{cls.token()} does not add {R.atom}-dominating reals over its models")
-    length = r.length_expr(ctx)
+    length = ctx.ordinal(r.length)
     card = ctx.card(length)
     if not (ctx.is_regular(theta) and ctx.uncountable(theta)):
         raise PreconditionFailed(f"{theta} must be regular uncountable")
@@ -270,7 +264,7 @@ def preEUB(ctx: CardContext, r: Recipe, R: SysExpr, theta: str) -> list[tuple]:
         raise PreconditionFailed(f"{theta} must be regular uncountable")
     if ctx.leq(r.cc, theta) is not True:
         raise PreconditionFailed(f"need cc <= {theta}")
-    card = ctx.card(r.length_expr(ctx))
+    card = ctx.card(ctx.ordinal(r.length))
     if ctx.leq(theta, card) is not True:
         raise PreconditionFailed(f"need {theta} <= |length|")
     return [(CIdeal(card, theta), R, "forge:preEUB",
@@ -316,7 +310,7 @@ def applications(ctx: CardContext, r: Recipe, forced: str) -> list[tuple]:
     apps += [(f"fullgen {render(R)}", fullgen, (R,), (render(R),)) for R in targets]
     for atom, theta in dict.fromkeys(s.bookkeeping for s in r.slots if s.bookkeeping is not None):
         apps.append((f"itsmallsets {atom}@{theta}", itsmallsets, (Prs(atom), theta), (atom, theta)))
-    for atom in _ALL_ATOMS:
+    for atom in PRS_ATOMS:
         theta = preeub_threshold(ctx, r, atom)
         if theta is not None and not ctx.is_regular(theta):
             # goodness is monotone in theta: use the least regular above it
@@ -336,7 +330,7 @@ def run_rules(ctx: CardContext, r: Recipe) -> tuple[list[str], list[tuple]]:
     failed hypotheses, the recipe-wide ones first, and (label, conclusions,
     params) for each application whose hypotheses hold."""
     try:
-        length = r.length_expr(ctx)
+        length = ctx.ordinal(r.length)
         forced = ctx.card(length)
     except (CardError, ValueError) as exc:
         return [f"bad length: {exc}"], []
@@ -373,7 +367,7 @@ def run_recipe(ctx: CardContext, r: Recipe,
         if sorted(order) != list(range(len(done))):
             raise ForgeError("order must permute the application list")
         done = [done[i] for i in order]
-    db = base_facts(ctx, ctx.card(r.length_expr(ctx)))
+    db = base_facts(ctx, ctx.card(ctx.ordinal(r.length)))
     db.meta["recipe"] = r
     for _, conclusions, params in done:
         _add(db, conclusions, params)
@@ -400,7 +394,7 @@ def _regular_chain(ctx: CardContext, names, label: str) -> list[str]:
 
 def _pinned(systems, note: str) -> list[tuple]:
     """Polish system i Tukey-equivalent to the i-th given system."""
-    return [pair for atom, sys_ in zip(_ALL_ATOMS, systems)
+    return [pair for atom, sys_ in zip(PRS_ATOMS, systems)
             for pair in ((Prs(atom), sys_, note), (sys_, Prs(atom), note))]
 
 

@@ -32,9 +32,7 @@ from .cards import ALEPH0, ALEPH1, CardContext, IncomparableNames
 from .diagram import Constellation, constellation, intrinsic_bounds
 from .facts import FactDB, base_facts, close, replays_source
 from .forge import AXIOMS, ForgeError, MissingAssumption
-from .systems import Card, Prod, Prs, render
-
-PRS_ORDER = ("Lc", "Cn", "ww", "Mg")  # systems 1..4
+from .systems import PRS_ATOMS, Card, Prod, Prs, render
 
 
 class SubmodelError(Exception):
@@ -290,7 +288,7 @@ def plan_facts(ctx: CardContext, log: TableLog) -> list[tuple]:
     out = []
     final_states = log.snapshots[-1].states
     for i in range(1, 5):
-        R = Prs(PRS_ORDER[i - 1])
+        R = Prs(PRS_ATOMS[i - 1])
         out.append((R, log.product_bounds[i], "plan:product-bound", (i,),
                     "the intersected system embeds into the product of the chain lengths"))
         for mu in sorted(final_states[i - 1].below, key=ctx.check):
@@ -348,20 +346,16 @@ def tables_as_dicts(ctx: CardContext, log: TableLog) -> list[dict]:
 def format_tables(ctx: CardContext, p: Plan, log: TableLog) -> str:
     scale = ctx.regulars_between(p.base[0], p.base[4])
     blocks = []
-    for snap in log.snapshots:
-        rows = []
-        for i in (4, 3, 2, 1):
-            st = snap.states[i - 1]
-            members = ctx.sorted_names(st.below)
-            cell = ", ".join(_compress(ctx, scale, members))
-            rows.append((str(i), cell, st.b, st.d))
+    for snap in tables_as_dicts(ctx, log):
+        rows = [(str(r["system"]), ", ".join(_compress(ctx, scale, r["below"])),
+                 r["b"], r["d"]) for r in reversed(snap["rows"])]
         w1 = max(len(r[1]) for r in rows)
         w2 = max(len(r[2]) for r in rows)
-        lines = [f"-- {snap.label} --",
+        lines = [f"-- {snap['label']} --",
                  f"{'i':>1}  {'below':<{w1}}  {'b':<{w2}}  d"]
         for r in rows:
             lines.append(f"{r[0]:>1}  {r[1]:<{w1}}  {r[2]:<{w2}}  {r[3]}")
-        for note in snap.notes:
+        for note in snap["notes"]:
             lines.append(f"   note: {note}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .cards import CardContext, OrdinalExpr
+from .cards import CardContext
 
 PRS_ATOMS = ("Lc", "Cn", "ww", "Mg")
 ATOM_ALIASES = {"R1": "Lc", "R2": "Cn", "R3": "ww", "R4": "Mg",
@@ -129,11 +129,12 @@ def dual(e: SysExpr) -> SysExpr:
     return Dual(e)
 
 
-def ord_expr(e: OrdinalExpr) -> SysExpr:
-    """One factor collapses to the cardinal itself."""
-    if len(e.factors) == 1:
-        return Card(e.factors[0])
-    return Ord(e.factors)
+def ord_expr(factors: tuple[str, ...]) -> SysExpr:
+    """The ordinal product of the factors; one factor collapses to the
+    cardinal itself."""
+    if len(factors) == 1:
+        return Card(factors[0])
+    return Ord(factors)
 
 
 def validate_expr(ctx: CardContext, e: SysExpr):
@@ -229,7 +230,7 @@ def parse_expr(text: str) -> SysExpr:
                 pos += 1
                 names.append(name())
             expect(")")
-            return ord_expr(OrdinalExpr(tuple(names)))
+            return ord_expr(tuple(names))
         if rest.startswith("idl("):
             pos += 4
             n = name()

@@ -1,22 +1,28 @@
-"""`facts.close` against the plain worklist it replaces.
+"""`facts.close` against the plain worklist it replaces, and the index
+`FactDB` keeps against a plain scan of its facts.
 
 `reference_close` is the closure as it was written before it moved to
 interned ids and bitmask rows: every candidate goes to `FactDB.add`, which
 drops the duplicates.  The fast closure must give the same `db.facts`,
 every field of every fact in the same order, and raise `DivergentUniverse`
-at the same limits, leaving the same facts behind."""
+at the same limits, leaving the same facts behind.
+
+`scan_value_bounds` is `diagram.value_bounds` as it was written before it
+read the database's by-lhs/by-rhs lists: one scan of every fact per atom."""
 
 import random
 from collections import deque
 
 import pytest
 
-from cichon import forge, submodel
+from cichon import facts, forge, submodel
 from cichon.builtins import BUILTINS, builtin
 from cichon.cards import ALEPH0, ALEPH1, ContextBuilder
+from cichon.diagram import (DiagramError, InconsistentBounds, Interval, _extreme,
+                            intrinsic_bounds, value_bounds)
 from cichon.facts import (DEFAULT_UNIVERSE_LIMIT, EXPR_RULES, DivergentUniverse,
                           FactDB, base_facts, cideal_mono, close)
-from cichon.systems import (CIdeal, Card, CoverSys, Ideal, IdealSys, Ord, Prod,
+from cichon.systems import (CIdeal, Card, CoverSys, Dual, Ideal, IdealSys, Ord, Prod,
                             Prs, R3, dual, render, subexpressions)
 
 
@@ -85,7 +91,9 @@ def reference_close(db: FactDB, universe_limit: int = DEFAULT_UNIVERSE_LIMIT) ->
 
 def clone(db: FactDB) -> FactDB:
     out = FactDB(db.ctx, db.forced_c)
-    out.facts, out._index, out.meta = list(db.facts), dict(db._index), dict(db.meta)
+    for f in db.facts:
+        out.add(f.lhs, f.rhs, f.rule, f.premises, f.params, f.note)
+    out.meta = dict(db.meta)
     return out
 
 
@@ -250,3 +258,116 @@ def test_close_adds_each_fact_with_one_call(monkeypatch):
     calls.clear()
     close(db)
     assert calls == []
+
+
+def test_derive_validates_each_interned_expression_once(monkeypatch):
+    """Deterministic cost guard: `FactDB` validates an expression when it
+    first interns it, and never again."""
+    validated = []
+    real = facts.validate_expr
+
+    def counting(ctx, e):
+        validated.append(e)
+        return real(ctx, e)
+
+    monkeypatch.setattr(facts, "validate_expr", counting)
+    db = builtin("mod1").derive().db
+    assert len(validated) == len(set(validated))
+    assert set(validated) == set(db.exprs) and len(db.exprs) < len(db.facts)
+
+
+# ---------------------------------------------------------------------------
+# the index against a scan
+# ---------------------------------------------------------------------------
+
+def scan_value_bounds(db: FactDB, e):
+    ctx = db.ctx
+    direct = intrinsic_bounds(ctx, e)
+    if direct is not None:
+        return direct
+    if isinstance(e, Dual):
+        b, d = scan_value_bounds(db, e.arg)
+        return d, b
+    if not db.closed:
+        raise DiagramError("value_bounds on atoms needs a closed database")
+
+    b_lo, b_hi, d_lo, d_hi = [ALEPH1], [], [ALEPH1], []
+    if db.forced_c is not None:
+        b_hi.append(db.forced_c)
+        d_hi.append(db.forced_c)
+    for f in db.facts:
+        if f.lhs == e:
+            val = intrinsic_bounds(ctx, f.rhs)
+            if val is not None:
+                vb, vd = val
+                if vb.lo is not None:
+                    b_lo.append(vb.lo)
+                if vd.hi is not None:
+                    d_hi.append(vd.hi)
+        if f.rhs == e:
+            val = intrinsic_bounds(ctx, f.lhs)
+            if val is not None:
+                vb, vd = val
+                if vb.hi is not None:
+                    b_hi.append(vb.hi)
+                if vd.lo is not None:
+                    d_lo.append(vd.lo)
+    b = Interval(_extreme(ctx, b_lo, upper=True), _extreme(ctx, b_hi, upper=False))
+    d = Interval(_extreme(ctx, d_lo, upper=True), _extreme(ctx, d_hi, upper=False))
+    for iv, what in ((b, "b"), (d, "d")):
+        if iv.lo is not None and iv.hi is not None and ctx.leq(iv.lo, iv.hi) is False:
+            raise InconsistentBounds(f"{what}({render(e)}) in {iv}")
+    return b, d
+
+
+ATOMS = (Prs("Lc"), Prs("Cn"), Prs("ww"), Prs("Mg"), IdealSys("N"), IdealSys("M"))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DiagramError as exc:
+        return type(exc), str(exc)
+
+
+def assert_index_matches_scan(db: FactDB):
+    keys = [f.key() for f in db.facts]
+    pairs = set(keys)
+    assert len(pairs) == len(keys)
+    assert db.pairs() == pairs
+    for fid, key in enumerate(keys):
+        assert db.id_of(*key) == fid
+    exprs = sorted(db.universe() | set(ATOMS), key=render)
+    for x in exprs:
+        for y in exprs:
+            assert db.has(x, y) == ((x, y) in pairs)
+    for x, y in [(e, e) for e in exprs] + [(rhs, lhs) for lhs, rhs in keys]:
+        if (x, y) not in pairs:
+            with pytest.raises(KeyError):
+                db.id_of(x, y)
+    for e in exprs:
+        assert outcome(value_bounds, db, e) == outcome(scan_value_bounds, db, e), render(e)
+    # a fact already present is refused, and nothing changes
+    for f in list(db.facts):
+        assert db.add(f.lhs, f.rhs, "axiom:again", note="again") is None
+    assert [f.key() for f in db.facts] == keys
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_builtin_index_matches_scan(name):
+    b = builtin(name)
+    db = submodel.run_plan(b.ctx(), b.plan).db if b.kind == "plan" else b.derive().db
+    assert db.closed
+    assert_index_matches_scan(db)
+
+
+def test_random_index_matches_scan():
+    rng = random.Random(5)
+    for _ in range(220):
+        db = random_db(rng)
+        assert_index_matches_scan(db)
+        try:
+            close(db)
+        except DivergentUniverse:
+            pass
+        assert_index_matches_scan(db)
