@@ -104,8 +104,31 @@ def _greedy_cover(universe: int, sets: list[int]) -> int | float:
     return used
 
 
+def _search_cover(uncovered: int, used: int, best, sets, covers_of, seen: dict):
+    """Branch and bound: the least cover size found below `uncovered`
+    (`best` if none beats it)."""
+    if uncovered == 0:
+        return min(best, used)
+    if used + 1 >= best:
+        return best
+    prior = seen.get(uncovered)
+    if prior is not None and prior <= used:
+        return best
+    seen[uncovered] = used
+    # branch on the uncovered element with the fewest candidate sets
+    elem = min((e for e in covers_of if uncovered >> e & 1),
+               key=lambda e: len(covers_of[e]))
+    for i in covers_of[elem]:
+        best = _search_cover(uncovered & ~sets[i], used + 1, best, sets, covers_of, seen)
+    return best
+
+
 def min_cover(universe: int, sets: list[int]) -> int | float:
-    """Exact minimum number of sets covering universe; TOP if impossible."""
+    """Exact minimum number of sets covering universe; TOP if impossible.
+
+    The search is a module-level function, not a closure that calls itself:
+    such a closure is a reference cycle that keeps its `seen` memo alive
+    until the next garbage collection."""
     if universe == 0:
         return 0
     total = 0
@@ -114,34 +137,12 @@ def min_cover(universe: int, sets: list[int]) -> int | float:
     if universe & ~total:
         return TOP
 
-    upper = _greedy_cover(universe, sets)
-    best = upper
     covers_of = {}  # element -> list of set indices containing it
     n_elems = universe.bit_length()
     for e in range(n_elems):
         if universe >> e & 1:
             covers_of[e] = [i for i, s in enumerate(sets) if s >> e & 1]
-    seen: dict[int, int] = {}
-
-    def search(uncovered: int, used: int):
-        nonlocal best
-        if uncovered == 0:
-            best = min(best, used)
-            return
-        if used + 1 >= best:
-            return
-        prior = seen.get(uncovered)
-        if prior is not None and prior <= used:
-            return
-        seen[uncovered] = used
-        # branch on the uncovered element with the fewest candidate sets
-        elem = min((e for e in covers_of if uncovered >> e & 1),
-                   key=lambda e: len(covers_of[e]))
-        for i in covers_of[elem]:
-            search(uncovered & ~sets[i], used + 1)
-
-    search(universe, 0)
-    return best
+    return _search_cover(universe, 0, _greedy_cover(universe, sets), sets, covers_of, {})
 
 
 def _guard(R: FinSys, size_limit):
@@ -252,7 +253,9 @@ def tukey_search(R: FinSys, R2: FinSys,
     Complete: returns a morphism iff one exists.  The b/d monotonicity
     corollary is applied first as a refutation; afterwards psi_minus is
     enumerated lexicographically with per-response candidate pruning, so
-    the returned witness is reproducible.
+    the returned witness is reproducible.  The enumeration is the
+    module-level `_assign`, not a closure that calls itself, so no
+    reference cycle keeps its candidate lists alive after the call.
     """
     space = R2.x_size ** R.x_size  # psi_plus is derived, not enumerated
     if space > search_limit:
@@ -264,35 +267,37 @@ def tukey_search(R: FinSys, R2: FinSys,
             or d_num(R, size_limit=None) > d_num(R2, size_limit=None)):
         return None
 
-    cones = R.cones()  # over X, indexed by y
     full_y = (1 << R.y_size) - 1
+    return _assign(0, [], [full_y] * R2.y_size, R, R2, R.cones())
 
-    # cand[y2] = bitmask of y in Y still usable as psi_plus(y2) given the
-    # partial psi_minus; assigning psi_minus(x) = x2 with x2 rel' y2 forces
-    # psi_plus(y2) to bound x.
-    def assign(x: int, psi: list[int], cand: list[int]) -> TukeyMorphism | None:
-        if x == R.x_size:
-            plus = tuple((m & -m).bit_length() - 1 for m in cand)
-            return TukeyMorphism(tuple(psi), plus)
-        bound_mask = sum(1 << y for y in range(R.y_size) if cones[y] >> x & 1)
-        for x2 in range(R2.x_size):
-            new_cand = list(cand)
-            ok = True
-            for y2 in range(R2.y_size):
-                if R2.rel(x2, y2):
-                    new_cand[y2] &= bound_mask
-                    if new_cand[y2] == 0:
-                        ok = False
-                        break
-            if ok:
-                psi.append(x2)
-                found = assign(x + 1, psi, new_cand)
-                if found is not None:
-                    return found
-                psi.pop()
-        return None
 
-    return assign(0, [], [full_y] * R2.y_size)
+def _assign(x: int, psi: list[int], cand: list[int], R: FinSys, R2: FinSys,
+            cones: list[int]) -> TukeyMorphism | None:
+    """Extend the partial psi_minus `psi` (defined below x) lexicographically.
+
+    cand[y2] = bitmask of y in Y still usable as psi_plus(y2) given the
+    partial psi_minus; assigning psi_minus(x) = x2 with x2 rel' y2 forces
+    psi_plus(y2) to bound x.  `cones` is R.cones(), over X indexed by y."""
+    if x == R.x_size:
+        plus = tuple((m & -m).bit_length() - 1 for m in cand)
+        return TukeyMorphism(tuple(psi), plus)
+    bound_mask = sum(1 << y for y in range(R.y_size) if cones[y] >> x & 1)
+    for x2 in range(R2.x_size):
+        new_cand = list(cand)
+        ok = True
+        for y2 in range(R2.y_size):
+            if R2.rel(x2, y2):
+                new_cand[y2] &= bound_mask
+                if new_cand[y2] == 0:
+                    ok = False
+                    break
+        if ok:
+            psi.append(x2)
+            found = _assign(x + 1, psi, new_cand, R, R2, cones)
+            if found is not None:
+                return found
+            psi.pop()
+    return None
 
 
 def compose(m1: TukeyMorphism, m2: TukeyMorphism) -> TukeyMorphism:

@@ -19,6 +19,7 @@ equality after construction.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -199,77 +200,78 @@ def render(e: SysExpr) -> str:
     raise ExprError(f"cannot render {e!r}")
 
 
+class _Unparsed(Exception):
+    """args: (message, position in the stripped text); parse_expr rewords
+    it as the ExprError that quotes the caller's text."""
+
+
+_NAME = re.compile(r"\w+")  # \w is exactly str.isalnum() or "_"
+
+
+def _name(s: str, pos: int) -> tuple[str, int]:
+    m = _NAME.match(s, pos)
+    if m is None:
+        raise _Unparsed("expected a name", pos)
+    return m.group(), m.end()
+
+
+def _expect(s: str, pos: int, ch: str) -> int:
+    if not s.startswith(ch, pos):
+        raise _Unparsed(f"expected {ch!r}", pos)
+    return pos + len(ch)
+
+
+def _parse(s: str, pos: int) -> tuple[SysExpr, int]:
+    """The expression that starts at s[pos], and the position after it."""
+    if s.startswith("dual(", pos):
+        inner, pos = _parse(s, pos + 5)
+        pos = _expect(s, pos, ")")
+        return dual(inner), pos
+    if s.startswith("prod(", pos):
+        part, pos = _parse(s, pos + 5)
+        parts = [part]
+        while s.startswith(",", pos):
+            part, pos = _parse(s, pos + 1)
+            parts.append(part)
+        pos = _expect(s, pos, ")")
+        return Prod(tuple(parts)), pos
+    if s.startswith("ord(", pos):
+        n, pos = _name(s, pos + 4)
+        names = [n]
+        while s.startswith("*", pos):
+            n, pos = _name(s, pos + 1)
+            names.append(n)
+        pos = _expect(s, pos, ")")
+        return ord_expr(tuple(names)), pos
+    if s.startswith(("idl(", "cov("), pos):
+        kind = IdealSys if s[pos] == "i" else CoverSys
+        n, pos = _name(s, pos + 4)
+        pos = _expect(s, pos, ")")
+        return kind(n), pos
+    if s.startswith(("C[", "I["), pos):
+        kind = CIdeal if s[pos] == "C" else Ideal
+        idx, pos = _name(s, pos + 2)
+        th, pos = _name(s, _expect(s, pos, "<"))
+        pos = _expect(s, pos, "]")
+        return kind(idx, th), pos
+    n, pos = _name(s, pos)
+    return (prs(n) if n in PRS_ATOMS or n in ATOM_ALIASES else Card(n)), pos
+
+
 def parse_expr(text: str) -> SysExpr:
-    """Inverse of :func:`render` (also accepts the R1..R4 aliases)."""
+    """Inverse of :func:`render` (also accepts the R1..R4 aliases).
+
+    Module-level functions pass the position along instead of closures
+    sharing it: a nested function that calls itself is a reference cycle,
+    and one cycle per call keeps the cyclic garbage collector running
+    through every replay.
+    """
     s = text.strip()
-    pos = 0
-
-    def fail(msg):
-        raise ExprError(f"{msg} at {pos} in {text!r}")
-
-    def parse() -> SysExpr:
-        nonlocal pos
-        rest = s[pos:]
-        if rest.startswith("dual("):
-            pos += 5
-            inner = parse()
-            expect(")")
-            return dual(inner)
-        if rest.startswith("prod("):
-            pos += 5
-            parts = [parse()]
-            while s[pos:pos + 1] == ",":
-                pos += 1
-                parts.append(parse())
-            expect(")")
-            return Prod(tuple(parts))
-        if rest.startswith("ord("):
-            pos += 4
-            names = [name()]
-            while s[pos:pos + 1] == "*":
-                pos += 1
-                names.append(name())
-            expect(")")
-            return ord_expr(tuple(names))
-        if rest.startswith("idl("):
-            pos += 4
-            n = name()
-            expect(")")
-            return IdealSys(n)
-        if rest.startswith("cov("):
-            pos += 4
-            n = name()
-            expect(")")
-            return CoverSys(n)
-        if rest.startswith("C[") or rest.startswith("I["):
-            kind = rest[0]
-            pos += 2
-            idx = name()
-            expect("<")
-            th = name()
-            expect("]")
-            return CIdeal(idx, th) if kind == "C" else Ideal(idx, th)
-        n = name()
-        if n in PRS_ATOMS or n in ATOM_ALIASES:
-            return prs(n)
-        return Card(n)
-
-    def name() -> str:
-        nonlocal pos
-        start = pos
-        while pos < len(s) and (s[pos].isalnum() or s[pos] == "_"):
-            pos += 1
-        if pos == start:
-            fail("expected a name")
-        return s[start:pos]
-
-    def expect(ch):
-        nonlocal pos
-        if s[pos:pos + len(ch)] != ch:
-            fail(f"expected {ch!r}")
-        pos += len(ch)
-
-    out = parse()
-    if pos != len(s):
-        fail("trailing input")
+    try:
+        out, pos = _parse(s, 0)
+        if pos != len(s):
+            raise _Unparsed("trailing input", pos)
+    except _Unparsed as exc:
+        msg, pos = exc.args
+        raise ExprError(f"{msg} at {pos} in {text!r}") from None
     return out

@@ -1,9 +1,15 @@
+import re
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cichon.cards import ALEPH1, ContextBuilder
-from cichon.systems import (CIdeal, Card, CoverSys, Dual, ExprError, Ideal,
-                            IdealSys, Ord, Prod, R1, R2, R3, R4, dual,
-                            ord_expr, parse_expr, prs, render, validate_expr)
+from cichon.systems import (ATOM_ALIASES, PRS_ATOMS, CIdeal, Card, CoverSys,
+                            Dual, ExprError, Ideal, IdealSys, Ord, Prod, Prs,
+                            R1, R2, R3, R4, SysExpr, dual, ord_expr,
+                            parse_expr, prs, render, validate_expr)
 
 
 def ctx():
@@ -64,3 +70,172 @@ def test_parse_expr_errors():
     for bad in ("", "prod(lam)", "C[lam5 lam1]", "dual(", "idl(X)", "lam5)"):
         with pytest.raises(ExprError):
             parse_expr(bad)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the closure-based parser that parse_expr replaced, kept verbatim
+# ---------------------------------------------------------------------------
+
+def reference_parse_expr(text: str) -> SysExpr:
+    """Inverse of :func:`render` (also accepts the R1..R4 aliases)."""
+    s = text.strip()
+    pos = 0
+
+    def fail(msg):
+        raise ExprError(f"{msg} at {pos} in {text!r}")
+
+    def parse() -> SysExpr:
+        nonlocal pos
+        rest = s[pos:]
+        if rest.startswith("dual("):
+            pos += 5
+            inner = parse()
+            expect(")")
+            return dual(inner)
+        if rest.startswith("prod("):
+            pos += 5
+            parts = [parse()]
+            while s[pos:pos + 1] == ",":
+                pos += 1
+                parts.append(parse())
+            expect(")")
+            return Prod(tuple(parts))
+        if rest.startswith("ord("):
+            pos += 4
+            names = [name()]
+            while s[pos:pos + 1] == "*":
+                pos += 1
+                names.append(name())
+            expect(")")
+            return ord_expr(tuple(names))
+        if rest.startswith("idl("):
+            pos += 4
+            n = name()
+            expect(")")
+            return IdealSys(n)
+        if rest.startswith("cov("):
+            pos += 4
+            n = name()
+            expect(")")
+            return CoverSys(n)
+        if rest.startswith("C[") or rest.startswith("I["):
+            kind = rest[0]
+            pos += 2
+            idx = name()
+            expect("<")
+            th = name()
+            expect("]")
+            return CIdeal(idx, th) if kind == "C" else Ideal(idx, th)
+        n = name()
+        if n in PRS_ATOMS or n in ATOM_ALIASES:
+            return prs(n)
+        return Card(n)
+
+    def name() -> str:
+        nonlocal pos
+        start = pos
+        while pos < len(s) and (s[pos].isalnum() or s[pos] == "_"):
+            pos += 1
+        if pos == start:
+            fail("expected a name")
+        return s[start:pos]
+
+    def expect(ch):
+        nonlocal pos
+        if s[pos:pos + len(ch)] != ch:
+            fail(f"expected {ch!r}")
+        pos += len(ch)
+
+    out = parse()
+    if pos != len(s):
+        fail("trailing input")
+    return out
+
+
+NAME_CHARS = "abclmuz019_" + "λéΩ٣"          # ٣ is an Arabic-Indic digit
+MUTATION_CHARS = NAME_CHARS + "()[]<>,* \t\n" + "·−（"  # non-ASCII non-names too
+
+names = st.one_of(
+    st.sampled_from(["aleph1", "lam5", "mu", "c", "M", "N", "X", *PRS_ATOMS,
+                     *(a for a in ATOM_ALIASES if a.isalnum())]),
+    st.text(NAME_CHARS, min_size=1, max_size=5),
+)
+leaves = st.one_of(
+    st.sampled_from(PRS_ATOMS).map(Prs),
+    st.sampled_from("MN").map(IdealSys),
+    st.sampled_from("MN").map(CoverSys),
+    st.builds(CIdeal, names, names),
+    st.builds(Ideal, names, names),
+    names.map(Card),
+    st.lists(names, min_size=2, max_size=3).map(lambda fs: Ord(tuple(fs))),
+)
+exprs = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        inner.map(dual),
+        st.lists(inner, min_size=2, max_size=3).map(lambda ps: Prod(tuple(ps)))),
+    max_leaves=8)
+
+
+# texts in the shape of the grammar whose names and arities the constructors
+# may refuse: idl(X), prod(a), ord(Lc*c)
+sketches = st.recursive(
+    st.one_of(
+        names,
+        st.builds("idl({})".format, names),
+        st.builds("cov({})".format, names),
+        st.builds("{}[{}<{}]".format, st.sampled_from("CI"), names, names),
+        st.lists(names, min_size=1, max_size=3).map(lambda fs: f"ord({'*'.join(fs)})"),
+    ),
+    lambda inner: st.one_of(
+        st.builds("dual({})".format, inner),
+        st.lists(inner, min_size=1, max_size=3).map(lambda ps: f"prod({','.join(ps)})")),
+    max_leaves=6)
+
+
+@st.composite
+def mutated(draw):
+    """A rendered expression or a sketch with characters dropped, inserted
+    or swapped, and whitespace around it."""
+    text = list(draw(st.one_of(exprs.map(render), sketches)))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(["drop", "insert", "swap"]))
+        if op == "insert":
+            text.insert(i, draw(st.sampled_from(MUTATION_CHARS)))
+        elif op == "drop" and i < len(text):
+            del text[i]
+        elif op == "swap" and i + 1 < len(text):
+            text[i], text[i + 1] = text[i + 1], text[i]
+    pad = st.text(" \t\n", max_size=2)
+    return draw(pad) + "".join(text) + draw(pad)
+
+
+def parsed(parse, text):
+    try:
+        return "ok", parse(text)
+    except ExprError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(exprs.map(render), sketches, mutated(),
+                 st.text(MUTATION_CHARS, max_size=12)))
+def test_parse_expr_matches_reference(text):
+    assert parsed(parse_expr, text) == parsed(reference_parse_expr, text)
+
+
+def test_parse_expr_matches_reference_on_edge_cases():
+    # "idl(X", "cov(Q]", "prod(a": the syntax error after the arguments is
+    # reported, not the constructor's refusal of them
+    for text in ("idl(X", "cov(Q]", "prod(a", "ord(a*", "C[a<b", "", " dual( ",
+                 "R1", "w^w", "Lc*", "λ٣ ", "idl(M))", "prod(Lc,,Cn)"):
+        assert parsed(parse_expr, text) == parsed(reference_parse_expr, text), text
+
+
+def test_name_pattern_is_isalnum_or_underscore():
+    """parse_expr reads names with the regex \\w; the reference tested
+    each character with str.isalnum() or "_".  Check every code point."""
+    word = re.compile(r"\w")
+    assert all(bool(word.match(c)) == (c.isalnum() or c == "_")
+               for c in map(chr, range(sys.maxunicode + 1)))
