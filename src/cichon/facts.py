@@ -37,6 +37,8 @@ monotonicity test are functions that `close` and the replay both call.
 The seed, recipe, axiom and plan rules, whose hypotheses live in a source
 held in ``db.meta``, are registered through `replays_source`: their check
 re-runs the source once per database and looks the fact up in the result.
+`forge` and `submodel` register theirs when imported, and `_replay` imports
+them first, so no replay depends on what its caller happened to import.
 `verify` runs the table over a live database.  `check_trace` runs the same
 loop over a rendered trace, which carries no ``meta``; `_replay` alone
 decides that such a trace's source facts are only checked to be well
@@ -474,6 +476,7 @@ def _replay_cideal_mono(db, fid, fact):
 def _replay(db: FactDB):
     # shared by verify and check_trace; neither calls the other, so the time
     # a profile or a per-layer timing gives each one stays its own
+    from . import forge, submodel  # noqa: F401  register the forge:, axiom: and plan: checks
     for fid, fact in enumerate(db.facts):
         fn = REPLAY.get(fact.rule)
         if fn is None:

@@ -436,13 +436,18 @@ def from_preorder(matrix) -> tuple[FinSys, bool]:
 # text format
 # ---------------------------------------------------------------------------
 
+def _nat(tok: str) -> bool:
+    """ASCII digits only: str.isdigit also admits '³', which int() rejects."""
+    return tok.isascii() and tok.isdigit()
+
+
 def parse_finsys(text: str) -> FinSys:
     """First line '<x_size> <y_size>', then x_size rows of 0/1 characters."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise BadParameters("empty system file")
     head = lines[0].split()
-    if len(head) != 2 or not all(tok.isdigit() and int(tok) > 0 for tok in head):
+    if len(head) != 2 or not all(_nat(tok) and int(tok) > 0 for tok in head):
         raise BadParameters("header must be '<x_size> <y_size>', both positive")
     xs, ys = int(head[0]), int(head[1])
     if len(lines) - 1 != xs:
@@ -466,7 +471,7 @@ def parse_finideal(text: str) -> FinIdeal:
     """First line the ground size, then one subset per line as sorted indices."""
     raw = [ln for ln in text.splitlines() if not ln.lstrip().startswith("#")]
     raw = [ln.strip() for ln in raw]
-    if not raw or not raw[0] or not raw[0].isdigit():
+    if not raw or not _nat(raw[0]):
         raise BadParameters("ideal file must start with the ground size")
     n = int(raw[0])
     sets = []
@@ -474,7 +479,7 @@ def parse_finideal(text: str) -> FinIdeal:
         if not ln:
             sets.append(())  # the empty set
             continue
-        if not all(tok.isdigit() for tok in ln.split()):
+        if not all(_nat(tok) for tok in ln.split()):
             raise BadParameters(f"bad member line {ln!r}")
         sets.append(tuple(int(tok) for tok in ln.split()))
     return FinIdeal.from_sets(n, sets)

@@ -276,17 +276,15 @@ RECIPE_RULES = ("forge:fullgen", "forge:fullgen-prs", "forge:cohen-limit",
                 "forge:cohen-product", "forge:itsmallsets", "forge:preEUB")
 
 
-def _add(db: FactDB, conclusions, params=()) -> list[int]:
+def _add(db: FactDB, conclusions, params=()) -> None:
     """Adds the conclusions and, below a preEUB one C[|length| < theta] <= R,
     each regular cardinal in [theta, |length|] (`forge:preEUB-card`, citing it)."""
-    ids = []
     for lhs, rhs, rule, note in conclusions:
-        ids.append(db.add(lhs, rhs, rule, (), params, note))
+        db.add(lhs, rhs, rule, (), params, note)
         if rule == "forge:preEUB":
-            ids += [db.add(mu, rhs, "forge:preEUB-card", (db.id_of(lhs, rhs),), (),
-                           "each regular cardinal in [theta,|length|] embeds below R")
-                    for mu, _ in card_embed(db.ctx, lhs)]
-    return [i for i in ids if i is not None]
+            for mu, _ in card_embed(db.ctx, lhs):
+                db.add(mu, rhs, "forge:preEUB-card", (db.id_of(lhs, rhs),), (),
+                       "each regular cardinal in [theta,|length|] embeds below R")
 
 
 def preeub_threshold(ctx: CardContext, r: Recipe, atom: str) -> Optional[str]:

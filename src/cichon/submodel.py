@@ -311,7 +311,7 @@ def run_plan(ctx: CardContext, p: Plan) -> PlanResult:
 # table rendering
 # ---------------------------------------------------------------------------
 
-def _compress(ctx: CardContext, scale: list[str], members: list[str]) -> list[str]:
+def _compress(scale: list[str], members: list[str]) -> list[str]:
     """Render maximal contiguous runs inside the base scale as [lo,hi]."""
     out = []
     in_scale = [m for m in members if m in scale]
@@ -347,7 +347,7 @@ def format_tables(ctx: CardContext, p: Plan, log: TableLog) -> str:
     scale = ctx.regulars_between(p.base[0], p.base[4])
     blocks = []
     for snap in tables_as_dicts(ctx, log):
-        rows = [(str(r["system"]), ", ".join(_compress(ctx, scale, r["below"])),
+        rows = [(str(r["system"]), ", ".join(_compress(scale, r["below"])),
                  r["b"], r["d"]) for r in reversed(snap["rows"])]
         w1 = max(len(r[1]) for r in rows)
         w2 = max(len(r[2]) for r in rows)

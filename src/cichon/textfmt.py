@@ -31,13 +31,21 @@ comment.  Shape:
     }
     assign bottom { addN = lam1b; ...; c = lamc; }
 
-Context blocks concatenate.  Any other block is given once per kind and
-name, and a single-valued statement (`length`, `cc`, `base`, `cards`, a
-slot's `bookkeeping`, an assigned entry) once per block: a repeat is a
-ParseError, never an override; so is a repeated plan step (a second
-`final`, or a second `chain d 4`).  An axiom block is named after one of
-the construction models in `forge.AXIOMS` and lists as many cardinals as
-its entry's arity.
+`parse` reads the context blocks first: they concatenate, wherever they
+sit, into the one CardContext the rest is read against.  A cardinal must be
+declared by a `card` statement before any statement uses it, and only once
+(aleph0, aleph1 and c may be re-declared, to mark them regular).  Every
+other block is then parsed in file order; the cardinals it names are
+checked as soon as it has parsed, each at its own statement's line, so a
+syntax error in a block wins over an undeclared name in it.  A chain's
+`succ(x)` is resolved when the chain is read.
+
+Any other block is given once per kind and name, and a single-valued
+statement (`length`, `cc`, `base`, `cards`, a slot's `bookkeeping`, an
+assigned entry) once per block: a repeat is a ParseError, never an
+override; so is a repeated plan step (a second `final`, or a second
+`chain d 4`).  An axiom block is named after one of the construction
+models in `forge.AXIOMS` and lists as many cardinals as its entry's arity.
 
 `parse` produces a RecipeFile whose rendering parses back to an equal
 value (round-trip stability is part of the test suite).
@@ -50,7 +58,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cards import ALEPH1, CardContext, CardError
+from .cards import ALEPH0, ALEPH1, CONTINUUM, CardContext, CardError
 from .diagram import ENTRIES
 from .forge import AXIOMS, ForgeError, Recipe, Slot, iterand
 from .submodel import ChainSpec, Plan
@@ -149,21 +157,28 @@ _ASSUME = re.compile(
     r"|(succ)\(\s*([A-Za-z0-9_]+)\s*\)\s*=\s*([A-Za-z0-9_]+)$")
 
 
-def _parse_context(body) -> tuple:
+def _need(known, tok: str, line: int) -> None:
+    if tok not in known:
+        raise UnresolvedName(f"cardinal {tok!r} is not declared", line)
+
+
+def _parse_context(body, declared: set) -> list:
+    """The block's declarations; `declared` holds the names declared so far
+    and gains this block's.  A name must be declared before it is used."""
     decls = []
     for line, stmt in body:
         toks = stmt.split()
         if toks[0] == "card":
-            if len(toks) == 2:
-                decls.append(("card", _check_name(toks[1], line), False))
-            elif len(toks) == 3 and toks[2] == "regular":
-                decls.append(("card", _check_name(toks[1], line), True))
-            else:
+            if len(toks) < 2 or toks[2:] not in ([], ["regular"]):
                 raise ParseError(f"bad card declaration {stmt!r}", line)
+            decl = ("card", _check_name(toks[1], line), len(toks) == 3)
+            if decl[1] in declared and decl[1] not in (ALEPH0, ALEPH1, CONTINUUM):
+                raise ParseError(f"cardinal {decl[1]!r} declared twice", line)
+            declared.add(decl[1])
         elif toks[0] in ("le", "lt"):
             if len(toks) != 3:
                 raise ParseError(f"bad order declaration {stmt!r}", line)
-            decls.append((toks[0], toks[1], toks[2]))
+            decl = tuple(toks)
         elif toks[0] == "assume":
             m = _ASSUME.match(stmt[len("assume"):].strip())
             if not m:
@@ -172,20 +187,24 @@ def _parse_context(body) -> tuple:
                 kind, a, b, res = m.group(1), m.group(2), m.group(3), m.group(4)
                 if res != a:
                     raise ParseError(f"assumption must have the form {kind}({a},{b})={a}", line)
-                decls.append((kind, a, b))
+                decl = (kind, a, b)
             elif m.group(5):
-                decls.append(("inaccessible", m.group(6), m.group(7)))
+                decl = ("inaccessible", m.group(6), m.group(7))
             else:
-                decls.append(("succ", m.group(9), m.group(10)))
+                decl = ("succ", m.group(9), m.group(10))
         else:
             raise ParseError(f"unknown context statement {stmt!r}", line)
-    return tuple(decls)
+        if decl[0] != "card":
+            for tok in decl[1:]:
+                _need(declared, tok, line)
+        decls.append(decl)
+    return decls
 
 
 _SLOT = re.compile(r"([a-z_]+)(?:\(\s*([A-Za-z0-9_]+)\s*\))?$")
 
 
-def _parse_recipe(name, body) -> Recipe:
+def _parse_recipe(name, header, body, uses) -> Recipe:
     length = cc = None
     slots = []
     for line, stmt in body:
@@ -194,12 +213,14 @@ def _parse_recipe(name, body) -> Recipe:
             if len(toks) != 2:
                 raise ParseError(f"bad length {stmt!r}", line)
             _first(length, "length", line)
-            length = tuple(t.strip() for t in toks[1].split("*"))
+            length = tuple(_check_name(t, line) for t in toks[1].split("*"))
+            uses += [(t, line) for t in length]
         elif toks[0] == "cc":
             if len(toks) != 2:
                 raise ParseError(f"bad cc {stmt!r}", line)
             _first(cc, "cc", line)
             cc = toks[1]
+            uses.append((cc, line))
         elif toks[0] == "slot":
             rest = toks[1:]
             if not rest:
@@ -211,6 +232,8 @@ def _parse_recipe(name, body) -> Recipe:
                 cls = iterand(m.group(1), m.group(2))
             except ForgeError as exc:
                 raise ParseError(str(exc), line) from None
+            if m.group(2):
+                uses.append((m.group(2), line))
             cofinal = False
             bookkeeping = None
             rest = rest[1:]
@@ -223,6 +246,7 @@ def _parse_recipe(name, body) -> Recipe:
                         raise ParseError("bookkeeping needs '<atom> upto <cardinal>'", line)
                     _first(bookkeeping, "bookkeeping", line)
                     bookkeeping = (_atom(rest[1], line), rest[3])
+                    uses.append((rest[3], line))
                     rest = rest[4:]
                 else:
                     raise ParseError(f"unknown slot flag {rest[0]!r}", line)
@@ -230,11 +254,11 @@ def _parse_recipe(name, body) -> Recipe:
         else:
             raise ParseError(f"unknown recipe statement {stmt!r}", line)
     if length is None:
-        raise ParseError(f"recipe {name} has no length", body[0][0] if body else 0)
+        raise ParseError(f"recipe {name} has no length", header)
     return Recipe(name, length=length, cc=cc or ALEPH1, slots=tuple(slots))
 
 
-def _parse_axiom(name, header, body) -> tuple[str, ...]:
+def _parse_axiom(name, header, body, uses) -> tuple[str, ...]:
     if name not in AXIOMS:
         raise ParseError(f"unknown axiom model {name!r} (expected one of "
                          f"{', '.join(AXIOMS)})", header)
@@ -247,6 +271,7 @@ def _parse_axiom(name, header, body) -> tuple[str, ...]:
         cards = tuple(_check_name(t.strip(), line) for t in toks[1].split(","))
         if len(cards) != AXIOMS[name].arity:
             raise ParseError(f"{name} takes {AXIOMS[name].arity} cardinals", line)
+        uses += [(c, line) for c in cards]
     if cards is None:
         raise ParseError(f"axiom {name} has no cards", header)
     return cards
@@ -254,38 +279,39 @@ def _parse_axiom(name, header, body) -> tuple[str, ...]:
 
 _CHAIN = re.compile(
     r"chain\s+([db])\s+([1-4])\s*\(\s*([A-Za-z0-9_]+)\s*,"
-    r"\s*(succ\(\s*[A-Za-z0-9_]+\s*\)|[A-Za-z0-9_]+)\s*,\s*([A-Za-z0-9_]+)\s*\)$")
+    r"\s*(?:succ\(\s*([A-Za-z0-9_]+)\s*\)|([A-Za-z0-9_]+))\s*,\s*([A-Za-z0-9_]+)\s*\)$")
 _BASE = re.compile(r"base\s+gksmax\(\s*([A-Za-z0-9_,\s]+)\)$")
 _FINAL = re.compile(r"final\s*\(\s*([A-Za-z0-9_]+)\s*\)$")
 
 
-def _parse_plan(name, body) -> tuple[Plan, list[tuple[int, str]]]:
-    """Returns the plan plus deferred succ(x) closures to resolve in context."""
+def _parse_plan(name, header, body, ctx, uses) -> Plan:
     base = None
     steps = []
     final_width = None
-    succ_fixups = []  # (step position, inner name, line)
     for line, stmt in body:
         if stmt.startswith("base"):
             m = _BASE.match(stmt)
             if not m:
                 raise ParseError(f"bad base {stmt!r}", line)
-            names = tuple(t.strip() for t in m.group(1).split(","))
+            names = tuple(_check_name(t.strip(), line) for t in m.group(1).split(","))
             if len(names) != 5:
                 raise ParseError("base gksmax takes five cardinals", line)
             _first(base, "base", line)
             base = names
+            uses += [(t, line) for t in base]
         elif stmt.startswith("chain"):
             m = _CHAIN.match(stmt)
             if not m:
                 raise ParseError(f"bad chain {stmt!r}", line)
-            kind, idx, length, closure, width = m.groups()
+            kind, idx, length, succ_of, closure, width = m.groups()
             if any((s.kind, s.index) == (kind, int(idx)) for s in steps):
                 raise ParseError(f"chain {kind} {idx} given twice", line)
-            if closure.startswith("succ("):
-                inner = closure[len("succ("):-1].strip()
-                succ_fixups.append((len(steps), inner, line))
-                closure = inner  # placeholder until resolved
+            if succ_of is not None:
+                _need(ctx.names, succ_of, line)
+                closure = ctx.succ_of(succ_of)
+                if closure is None:
+                    raise UnresolvedName(f"succ({succ_of}) is not declared", line)
+            uses += [(length, line), (closure, line), (width, line)]
             steps.append(ChainSpec(kind, int(idx), length, closure, width))
         elif stmt.startswith("final"):
             m = _FINAL.match(stmt)
@@ -293,16 +319,16 @@ def _parse_plan(name, body) -> tuple[Plan, list[tuple[int, str]]]:
                 raise ParseError(f"bad final {stmt!r}", line)
             _first(final_width, "final", line)
             final_width = m.group(1)
+            uses.append((final_width, line))
             steps.append(ChainSpec("final", None, None, ALEPH1, final_width))
         else:
             raise ParseError(f"unknown plan statement {stmt!r}", line)
     if base is None or final_width is None:
-        raise ParseError(f"plan {name} needs a base and a final step",
-                         body[0][0] if body else 0)
-    return Plan(name, base=base, steps=tuple(steps), final_width=final_width), succ_fixups
+        raise ParseError(f"plan {name} needs a base and a final step", header)
+    return Plan(name, base=base, steps=tuple(steps), final_width=final_width)
 
 
-def _parse_assign(name, body) -> dict:
+def _parse_assign(body, uses) -> dict:
     out = {}
     for line, stmt in body:
         m = re.match(r"([A-Za-z]+)\s*=\s*([A-Za-z0-9_]+)$", stmt)
@@ -313,74 +339,41 @@ def _parse_assign(name, body) -> dict:
             raise ParseError(f"unknown entry {key!r} (expected one of {', '.join(ENTRIES)})", line)
         _first(out.get(key), key, line)
         out[key] = m.group(2)
+        uses.append((out[key], line))
     return out
 
 
 def parse(text: str) -> RecipeFile:
-    rf = RecipeFile()
-    plan_fixups = []
-    block_lines = {}
-    for kind, name, header, body in _blocks(text):
-        if (kind, name) in block_lines and kind != "context":
-            raise ParseError(f"duplicate {kind} block {name}", header)
-        block_lines[(kind, name)] = body[0][0] if body else 1
+    blocks = list(_blocks(text))
+    declared = {ALEPH0, ALEPH1, CONTINUUM}
+    context, end = [], 1
+    for kind, _, header, body in blocks:
         if kind == "context":
-            rf.context = rf.context + _parse_context(body)
-        elif kind == "recipe":
-            rf.recipes[name] = _parse_recipe(name, body)
-        elif kind == "axiom":
-            rf.axioms[name] = _parse_axiom(name, header, body)
-        elif kind == "plan":
-            plan, fixups = _parse_plan(name, body)
-            rf.plans[name] = plan
-            plan_fixups.append((name, fixups))
-        else:
-            rf.assignments[name] = _parse_assign(name, body)
-
+            context += _parse_context(body, declared)
+            end = body[-1][0] if body else header
+    rf = RecipeFile(tuple(context))
     try:
         ctx = rf.ctx()
-    except CardError as exc:
-        raise UnresolvedName(str(exc), 1) from None
-
-    def need(tok, line):
-        if not ctx.has(tok):
-            raise UnresolvedName(f"cardinal {tok!r} is not declared", line)
-
-    for name, recipe in rf.recipes.items():
-        line = block_lines[("recipe", name)]
-        for f in recipe.length:
-            need(f, line)
-        need(recipe.cc, line)
-        for slot in recipe.slots:
-            if slot.iterand.size_bound is not None:
-                need(slot.iterand.size_bound, line)
-            if slot.bookkeeping is not None:
-                need(slot.bookkeeping[1], line)
-    for name, cards in rf.axioms.items():
-        for c in cards:
-            need(c, block_lines[("axiom", name)])
-    for name, fixups in plan_fixups:
-        plan = rf.plans[name]
-        line = block_lines[("plan", name)]
-        for tok in plan.base + (plan.final_width,):
-            need(tok, line)
-        steps = list(plan.steps)
-        for pos, inner, fline in fixups:
-            need(inner, fline)
-            target = ctx.succ_of(inner)
-            if target is None:
-                raise UnresolvedName(f"succ({inner}) is not declared", fline)
-            s = steps[pos]
-            steps[pos] = ChainSpec(s.kind, s.index, s.length, target, s.width)
-        for s in steps:
-            if s.length is not None:
-                need(s.length, line)
-            need(s.closure, line), need(s.width, line)
-        rf.plans[name] = Plan(plan.name, plan.base, tuple(steps), plan.final_width)
-    for name, assignment in rf.assignments.items():
-        line = block_lines[("assign", name)]
-        for v in assignment.values():
-            need(v, line)
+    except CardError as exc:  # an order or successor contradiction, found once all is read
+        raise UnresolvedName(str(exc), end) from None
+    tables = {"recipe": rf.recipes, "axiom": rf.axioms, "plan": rf.plans,
+              "assign": rf.assignments}
+    for kind, name, header, body in blocks:
+        if kind == "context":
+            continue
+        if name in tables[kind]:
+            raise ParseError(f"duplicate {kind} block {name}", header)
+        uses = []  # (cardinal, statement line) for each name the block reads
+        if kind == "recipe":
+            tables[kind][name] = _parse_recipe(name, header, body, uses)
+        elif kind == "axiom":
+            tables[kind][name] = _parse_axiom(name, header, body, uses)
+        elif kind == "plan":
+            tables[kind][name] = _parse_plan(name, header, body, ctx, uses)
+        else:
+            tables[kind][name] = _parse_assign(body, uses)
+        for tok, line in uses:
+            _need(declared, tok, line)  # the names of ctx
     return rf
 
 

@@ -320,3 +320,18 @@ def test_finideal_round_trip():
     assert parse_finideal(format_finideal(I)) == I
     i_sys, c_sys = systems_of_ideal(I)
     assert b_num(c_sys) == 3 and d_num(c_sys) == 2
+
+
+def test_non_ascii_digits_are_bad_parameters(tmp_path, capsys):
+    """'³'.isdigit() holds but int('³') fails: only ASCII digits count."""
+    from cichon.cli import main
+    with pytest.raises(BadParameters):
+        parse_finsys("³ 1\n1\n1\n1\n")
+    for text in ("²\n0\n", "2\n0 ¹\n"):
+        with pytest.raises(BadParameters):
+            parse_finideal(text)
+    bad = tmp_path / "sup.sys"
+    bad.write_text("³ 1\n1\n1\n1\n", encoding="utf-8")
+    assert main(["finite", "d", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")

@@ -3,6 +3,7 @@ conclusion ends in ReplayError, from `verify` on a live database and, for
 the rules a trace can re-derive alone, from `check_trace` on its rendering."""
 
 import dataclasses
+import json
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ import sys
 import pytest
 
 from cichon import forge
-from cichon.builtins import builtin
+from cichon.builtins import BUILTINS, builtin
 from cichon.cards import ALEPH1, ContextBuilder
 from cichon.facts import REPLAY, FactDB, ReplayError, check_trace, close, verify
 from cichon.submodel import run_plan
@@ -223,25 +224,58 @@ def test_verify_runs_the_construction_once_per_database(monkeypatch, name):
     assert calls == [db.meta["axiom"][1]]
 
 
-def test_replay_table_is_complete_without_the_builtins():
-    """A fresh interpreter: `from cichon.facts import REPLAY` alone registers
-    a check for every rule any builtin records."""
+def _nonesuch(line):
+    """The trace line with its rule renamed to one that no table holds."""
+    return re.sub(r"  \[[^;\]]+;", "  [rule:nonesuch;", line, count=1)
+
+
+def test_a_rule_in_no_table_fails_replay():
+    db = derive("mod1")
+    lines = db.trace_lines()
+    lines[-1] = _nonesuch(lines[-1])
+    with pytest.raises(ReplayError, match=f"fact {len(lines) - 1}: unknown rule 'rule:nonesuch'"):
+        check_trace(db.ctx, lines)
+    replace_fact(db, len(db.facts) - 1, rule="rule:nonesuch")
+    with pytest.raises(ReplayError, match="unknown rule 'rule:nonesuch'"):
+        verify(db)
+
+
+def test_a_fresh_replay_resolves_every_builtin_rule():
+    """A fresh interpreter: `import cichon.finite` loads no other module, and
+    `check_trace` with only `cards` and `facts` imported, then `verify` on
+    the live databases, resolve every rule any builtin records, while a rule
+    in no table still fails."""
+    traces = {}
+    for name in BUILTINS:
+        db = derive(name)
+        traces[name] = (db.ctx.declarations, db.trace_lines())
     code = """if True:
-        import sys
-        from cichon.facts import REPLAY
-        assert "cichon.builtins" not in sys.modules
-        rules = set(REPLAY)
+        import json, sys
+        import cichon.finite
+        loaded = sorted(m for m in sys.modules if m.startswith("cichon"))
+        assert loaded == ["cichon", "cichon.finite"], loaded
+        from cichon.cards import CardContext
+        from cichon.facts import ReplayError, check_trace, verify
+        assert "cichon.forge" not in sys.modules and "cichon.submodel" not in sys.modules
+        for k, (name, (decls, lines)) in enumerate(json.load(sys.stdin).items()):
+            ctx = CardContext([tuple(d) for d in decls])
+            if k == 0:  # the first replay: the bad rule comes after every good one
+                try:
+                    check_trace(ctx, lines[:-1] + [sys.argv[1]])
+                    raise AssertionError("a rule in no table replayed")
+                except ReplayError as exc:
+                    assert "unknown rule 'rule:nonesuch'" in str(exc), exc
+            assert check_trace(ctx, lines) == len(lines), name
         from cichon.builtins import BUILTINS
         from cichon.submodel import run_plan
         for name, b in BUILTINS.items():
-            db = run_plan(b.ctx(), b.plan).db if b.kind == "plan" else b.derive().db
-            missing = {f.rule for f in db.facts} - rules
-            assert not missing, (name, missing)
+            verify(run_plan(b.ctx(), b.plan).db if b.kind == "plan" else b.derive().db)
     """
+    first = next(iter(traces.values()))[1]
     src = os.path.dirname(os.path.dirname(os.path.abspath(forge.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    p = subprocess.run([sys.executable, "-S", "-c", code], env=env,
-                       capture_output=True, text=True, timeout=120)
+    p = subprocess.run([sys.executable, "-S", "-c", code, _nonesuch(first[-1])], env=env,
+                       input=json.dumps(traces), capture_output=True, text=True, timeout=120)
     assert p.returncode == 0, p.stderr
 
 
