@@ -10,12 +10,12 @@ step by step and emits the product-bound facts with justifications.
 
 from cichon.builtins import builtin
 from cichon.diagram import check_assignment, format_constellation
-from cichon.submodel import format_tables, run_plan
+from cichon.submodel import format_tables
 from cichon.systems import render
 
 b = builtin("cichon_max")
-ctx = b.ctx()
-result = run_plan(ctx, b.plan)
+result = b.derive()
+ctx = result.db.ctx
 
 print("left-side model of the theta scale, collapsed step by step:")
 print(format_tables(ctx, b.plan, result.log))

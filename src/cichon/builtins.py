@@ -6,6 +6,7 @@ iterations, the four many-values theorems, the three construction-heavy
 left-side models, and the Cichon's-maximum plan with its bottom-row
 assignment.  The files are written in the text format of `textfmt`, the
 same one users write, and `BUILTINS` is filled from them at import.
+`Builtin.derive` runs any of them to one `forge.DerivedModel`.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from . import submodel
 from .cards import CardContext
 from .forge import DerivedModel, Recipe, axiom_model, run_recipe
-from .submodel import Plan
 from .textfmt import BUILTIN_NAMES, RecipeFile, builtin_file
 
 
@@ -26,19 +27,21 @@ class Builtin:
     context: tuple                 # declaration list
     recipe: Optional[Recipe] = None
     axiom_cards: Optional[tuple[str, ...]] = None
-    plan: Optional[Plan] = None
+    plan: Optional[submodel.Plan] = None
     assignments: tuple[tuple[str, dict], ...] = ()
 
     def ctx(self) -> CardContext:
         return CardContext(self.context)
 
     def derive(self, order=None) -> DerivedModel:
+        """Run the recipe (its applications permuted by ORDER), the axiom
+        model or the plan; a plan's model carries its tables in `log`."""
         ctx = self.ctx()
         if self.kind == "recipe":
             return run_recipe(ctx, self.recipe, order=order)
         if self.kind == "axiom":
             return axiom_model(ctx, self.name, self.axiom_cards)
-        raise ValueError(f"{self.name} is a plan, run it with cichon.submodel.run_plan")
+        return submodel.run_plan(ctx, self.plan)
 
 
 def _builtin(name: str, rf: RecipeFile) -> Builtin:

@@ -22,7 +22,7 @@ import sys
 
 from . import diagram, finite, forge, submodel, textfmt
 from .cards import CardError
-from .facts import FactDB, FactError
+from .facts import FactError
 from .systems import ExprError, render
 
 
@@ -30,13 +30,17 @@ class CliInputError(Exception):
     pass
 
 
-def _load_file(path: str) -> textfmt.RecipeFile:
+def _read(path: str, parse, errors):
+    """The file at PATH, parsed by PARSE.  A file that cannot be read as
+    UTF-8 text, or that PARSE refuses with one of ERRORS, is bad input."""
     try:
-        with open(path) as fh:
-            return textfmt.parse(fh.read())
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from None
-    except (textfmt.ParseError, textfmt.UnresolvedName, CardError) as exc:
+    try:
+        return parse(text)
+    except errors as exc:
         raise CliInputError(f"{path}: {exc}") from None
 
 
@@ -44,7 +48,7 @@ def _lookup(file, name: str, *tables: str):
     """NAME's entry in the first of the RecipeFile tables that has it, and
     the file: FILE, or without one the shipped model file defining NAME."""
     if file:
-        rf = _load_file(file)
+        rf = _read(file, textfmt.parse, (textfmt.ParseError, textfmt.UnresolvedName))
     else:
         from . import builtins  # parses every shipped model file
         try:
@@ -65,88 +69,74 @@ def _write(path: str, text: str) -> None:
         raise CliInputError(f"cannot write {path}: {exc}") from None
 
 
-def _emit_json(path: str, db: FactDB, cons, extra: dict | None = None) -> None:
+def _emit_json(path: str, model: forge.DerivedModel) -> None:
+    cons = model.constellation
     payload = {
         "constellation": {k: {"lo": iv.lo, "hi": iv.hi} for k, iv in cons.items()},
         "facts": [
             {"lhs": render(f.lhs), "rhs": render(f.rhs), "rule": f.rule,
              "premises": list(f.premises), "note": f.note}
-            for f in db.facts
+            for f in model.db.facts
         ],
     }
-    if extra:
-        payload.update(extra)
+    if model.log is not None:
+        payload["tables"] = submodel.tables_as_dicts(model.db.ctx, model.log)
+        payload["product_bounds"] = {str(i): render(lam)
+                                     for i, lam in sorted(model.log.product_bounds.items())}
     _write(path, json.dumps(payload, indent=2) + "\n")
 
 
-def cmd_derive(args) -> int:
-    rf, table, entry = _lookup(args.file, args.recipe, "recipes", "axioms")
-    if table == "recipes":
-        model = forge.run_recipe(rf.ctx(), entry)
-    else:
-        model = forge.axiom_model(rf.ctx(), args.recipe, entry)
+def _report(args, model: forge.DerivedModel) -> int:
+    """Print the constellation, and the trace under --trace; then write the
+    --dot and --json files asked for.  A plan's JSON carries its tables."""
     print(diagram.format_constellation(model.constellation), end="")
     if args.trace:
         print()
         for line in model.db.trace_lines():
             print(line)
-    if args.dot:
+    if getattr(args, "dot", None):  # `intersect` has no --dot
         _write(args.dot, diagram.to_dot(model.constellation))
     if args.json:
-        _emit_json(args.json, model.db, model.constellation)
+        _emit_json(args.json, model)
     return 0
+
+
+def cmd_derive(args) -> int:
+    rf, table, entry = _lookup(args.file, args.recipe, "recipes", "axioms")
+    if table == "recipes":
+        return _report(args, forge.run_recipe(rf.ctx(), entry))
+    return _report(args, forge.axiom_model(rf.ctx(), args.recipe, entry))
 
 
 def cmd_intersect(args) -> int:
     rf, _, plan = _lookup(args.file, args.plan, "plans")
     ctx = rf.ctx()
-    result = submodel.run_plan(ctx, plan)
+    model = submodel.run_plan(ctx, plan)
     if args.tables:
-        print(submodel.format_tables(ctx, plan, result.log))
-    print(diagram.format_constellation(result.constellation), end="")
-    if args.trace:
-        print()
-        for line in result.db.trace_lines():
-            print(line)
-    if args.json:
-        extra = {
-            "tables": submodel.tables_as_dicts(ctx, result.log),
-            "product_bounds": {str(i): render(lam)
-                               for i, lam in sorted(result.log.product_bounds.items())},
-        }
-        _emit_json(args.json, result.db, result.constellation, extra)
-    return 0
+        print(submodel.format_tables(ctx, plan, model.log))
+    return _report(args, model)
 
 
 def _ext(v) -> str:
     return "inf" if v == finite.TOP else str(v)
 
 
-def cmd_finite(args) -> int:
-    def load(path):
-        try:
-            with open(path) as fh:
-                return finite.parse_finsys(fh.read())
-        except OSError as exc:
-            raise CliInputError(f"cannot read {path}: {exc}") from None
-        except finite.BadParameters as exc:
-            raise CliInputError(f"{path}: {exc}") from None
+_FINITE_FILES = {"b": 1, "d": 1, "dual": 1, "product": 2, "search": 2}  # op -> files
 
-    op = args.op
+
+def cmd_finite(args) -> int:
+    op, n = args.op, _FINITE_FILES[args.op]
+    if len(args.files) != n:
+        raise CliInputError(f"finite {op} takes {n} system file{'s' if n > 1 else ''}")
+    systems = [_read(path, finite.parse_finsys, finite.BadParameters) for path in args.files]
     if op in ("b", "d"):
-        R = load(args.files[0])
-        print(_ext(finite.b_num(R) if op == "b" else finite.d_num(R)))
+        print(_ext(finite.b_num(*systems) if op == "b" else finite.d_num(*systems)))
         return 0
-    if op == "dual":
-        print(finite.format_finsys(finite.dual(load(args.files[0]))), end="")
+    if op in ("dual", "product"):
+        R = finite.dual(*systems) if op == "dual" else finite.product(*systems)
+        print(finite.format_finsys(R), end="")
         return 0
-    if len(args.files) != 2:
-        raise CliInputError(f"finite {op} takes two system files")
-    R, R2 = load(args.files[0]), load(args.files[1])
-    if op == "product":
-        print(finite.format_finsys(finite.product(R, R2)), end="")
-        return 0
-    morphism = finite.tukey_search(R, R2)
+    morphism = finite.tukey_search(*systems)
     if morphism is None:
         print("none")
         return 1
@@ -191,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.set_defaults(fn=cmd_intersect)
 
     f = sub.add_parser("finite", help="exact finite relational-system oracle")
-    f.add_argument("op", choices=("b", "d", "dual", "product", "search"))
+    f.add_argument("op", choices=tuple(_FINITE_FILES))
     f.add_argument("files", nargs="+", metavar="FILE")
     f.set_defaults(fn=cmd_finite)
 

@@ -316,7 +316,7 @@ def close(db: FactDB, universe_limit: int = DEFAULT_UNIVERSE_LIMIT) -> FactDB:
     def add(a: int, c: int, rule, premises, note):
         queue.append(db.add(exprs[a], exprs[c], rule, premises, note=note))
 
-    def emit(a: int, c: int, rule, premises, note=""):
+    def emit(a: int, c: int, rule, premises, note):
         if a != c and not out[a] >> c & 1:
             add(a, c, rule, premises, note)
 

@@ -183,6 +183,7 @@ class DerivedModel:
     db: FactDB
     constellation: Constellation
     trace: tuple[str, ...]
+    log: object = None             # a plan's submodel.TableLog; None otherwise
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +277,7 @@ RECIPE_RULES = ("forge:fullgen", "forge:fullgen-prs", "forge:cohen-limit",
                 "forge:cohen-product", "forge:itsmallsets", "forge:preEUB")
 
 
-def _add(db: FactDB, conclusions, params=()) -> None:
+def _add(db: FactDB, conclusions, params) -> None:
     """Adds the conclusions and, below a preEUB one C[|length| < theta] <= R,
     each regular cardinal in [theta, |length|] (`forge:preEUB-card`, citing it)."""
     for lhs, rhs, rule, note in conclusions:

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cards import ALEPH0, ALEPH1, CardContext, IncomparableNames
-from .diagram import Constellation, constellation, intrinsic_bounds
-from .facts import FactDB, base_facts, close, replays_source
-from .forge import AXIOMS, ForgeError, MissingAssumption
+from .diagram import constellation, intrinsic_bounds
+from .facts import base_facts, close, replays_source
+from .forge import AXIOMS, DerivedModel, ForgeError, MissingAssumption
 from .systems import PRS_ATOMS, Card, Prod, Prs, render
 
 
@@ -45,6 +45,12 @@ class Unpinned(SubmodelError):
 
 class PlanOrderViolation(SubmodelError):
     pass
+
+
+# (kind, index) of a plan's steps: a d-chain then a b-chain from level 4
+# down to level 1, then the final step
+STEP_ORDER = (("d", 4), ("b", 4), ("d", 3), ("b", 3),
+              ("d", 2), ("b", 2), ("d", 1), ("b", 1), ("final", None))
 
 
 @dataclass(frozen=True)
@@ -100,13 +106,6 @@ class Snapshot:
 class TableLog:
     snapshots: list[Snapshot]
     product_bounds: dict[int, Prod]
-
-
-@dataclass
-class PlanResult:
-    log: TableLog
-    db: FactDB
-    constellation: Constellation
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +202,9 @@ def step(states: Sequence[SysState], c: ChainSpec, ctx: CardContext
 def plan_diagnostics(ctx: CardContext, p: Plan) -> list[str]:
     """Canonical-shape and hypothesis checks ((H1)-(H6) analogues)."""
     diags: list[str] = []
-    expected = [("d", 4), ("b", 4), ("d", 3), ("b", 3),
-                ("d", 2), ("b", 2), ("d", 1), ("b", 1), ("final", None)]
-    got = [(s.kind, s.index) for s in p.steps]
-    if got != expected:
-        raise PlanOrderViolation(f"steps {got} are not the canonical order {expected}")
+    got = tuple((s.kind, s.index) for s in p.steps)
+    if got != STEP_ORDER:
+        raise PlanOrderViolation(f"steps {got} are not the canonical order {STEP_ORDER}")
 
     for name in p.base + (p.final_width,):
         if not ctx.has(name):
@@ -297,14 +294,17 @@ def plan_facts(ctx: CardContext, log: TableLog) -> list[tuple]:
     return out
 
 
-def run_plan(ctx: CardContext, p: Plan) -> PlanResult:
+def run_plan(ctx: CardContext, p: Plan) -> DerivedModel:
+    """Run the plan, add the facts it emits to the base facts of its final
+    width, and close: a `DerivedModel` with no rule labels, whose `log`
+    holds the intersection tables and product bounds."""
     log = run_steps(ctx, p)
     db = base_facts(ctx, p.final_width)
     db.meta["plan"] = p
     for lhs, rhs, rule, params, note in plan_facts(ctx, log):
         db.add(lhs, rhs, rule, params=params, note=note)
     close(db)
-    return PlanResult(log, db, constellation(db))
+    return DerivedModel(db, constellation(db), (), log)
 
 
 # ---------------------------------------------------------------------------

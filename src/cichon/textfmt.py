@@ -44,8 +44,10 @@ Any other block is given once per kind and name, and a single-valued
 statement (`length`, `cc`, `base`, `cards`, a slot's `bookkeeping`, an
 assigned entry) once per block: a repeat is a ParseError, never an
 override; so is a repeated plan step (a second `final`, or a second
-`chain d 4`).  An axiom block is named after one of the construction
-models in `forge.AXIOMS` and lists as many cardinals as its entry's arity.
+`chain d 4`).  A plan's steps come in `submodel.STEP_ORDER`; any other
+order, or a missing chain, is a ParseError at the plan's header.  An
+axiom block is named after one of the construction models in
+`forge.AXIOMS` and lists as many cardinals as its entry's arity.
 
 `parse` produces a RecipeFile whose rendering parses back to an equal
 value (round-trip stability is part of the test suite).
@@ -61,7 +63,7 @@ from typing import Optional
 from .cards import ALEPH0, ALEPH1, CONTINUUM, CardContext, CardError
 from .diagram import ENTRIES
 from .forge import AXIOMS, ForgeError, Recipe, Slot, iterand
-from .submodel import ChainSpec, Plan
+from .submodel import STEP_ORDER, ChainSpec, Plan
 from .systems import ATOM_ALIASES, PRS_ATOMS
 
 
@@ -325,6 +327,9 @@ def _parse_plan(name, header, body, ctx, uses) -> Plan:
             raise ParseError(f"unknown plan statement {stmt!r}", line)
     if base is None or final_width is None:
         raise ParseError(f"plan {name} needs a base and a final step", header)
+    if tuple((s.kind, s.index) for s in steps) != STEP_ORDER:
+        order = ", ".join(f"chain {k} {i}" if i else k for k, i in STEP_ORDER)
+        raise ParseError(f"plan {name} needs its steps in the order {order}", header)
     return Plan(name, base=base, steps=tuple(steps), final_width=final_width)
 
 

@@ -278,3 +278,35 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     path = str(tmp_path / "missing" / "out")
     code, _, err = run(capsys, *argv, path)
     assert code == 2 and err.startswith(f"error: cannot write {path}")
+
+
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    rcp, sys_ = tmp_path / "latin1.rcp", tmp_path / "latin1.sys"
+    rcp.write_bytes("context { card lam\xe9; }\n".encode("latin-1"))
+    sys_.write_bytes(b"2 2\n10\n0\xff\n")
+    for path, argv in ((rcp, ["derive", str(rcp), "--recipe", "cohen"]),
+                       (sys_, ["finite", "d", str(sys_)])):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith(f"error: cannot read {path}: ")
+
+
+@pytest.mark.parametrize("op,files", [("d", 2), ("b", 2), ("dual", 2), ("product", 1),
+                                      ("search", 3)])
+def test_finite_wrong_file_count_exits_2(tmp_path, capsys, op, files):
+    id2 = tmp_path / "id2.sys"
+    id2.write_text("2 2\n10\n01\n")
+    code, out, err = run(capsys, "finite", op, *[str(id2)] * files)
+    assert code == 2 and out == "" and f"error: finite {op} takes" in err
+
+
+@pytest.mark.parametrize("edit", ["swap", "drop"])
+def test_intersect_plan_out_of_order_exits_2(tmp_path, capsys, edit):
+    rf = builtin_file("cichon_max")
+    text = render_file(rf, rf.ctx())
+    d4, b4 = "  chain d 4 (lam4d, succ(th4m), th4);\n", "  chain b 4 (lam4b, th4m, th4m);\n"
+    text = text.replace(d4 + b4, b4 + d4 if edit == "swap" else d4)
+    path = tmp_path / "order.rcp"
+    path.write_text(text)
+    code, out, err = run(capsys, "intersect", str(path), "--plan", "cichon_max")
+    header = text[:text.index("plan cichon_max {")].count("\n") + 1
+    assert code == 2 and out == "" and f"line {header}: plan cichon_max needs its steps" in err

@@ -127,11 +127,7 @@ def pre_close(name: str) -> FactDB:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(forge, "close", catch)
         mp.setattr(submodel, "close", catch)
-        b = builtin(name)
-        if b.kind == "plan":
-            submodel.run_plan(b.ctx(), b.plan)
-        else:
-            b.derive()
+        builtin(name).derive()
     (db,) = caught
     return db
 
@@ -355,8 +351,7 @@ def assert_index_matches_scan(db: FactDB):
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_builtin_index_matches_scan(name):
-    b = builtin(name)
-    db = submodel.run_plan(b.ctx(), b.plan).db if b.kind == "plan" else b.derive().db
+    db = builtin(name).derive().db
     assert db.closed
     assert_index_matches_scan(db)
 

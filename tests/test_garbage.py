@@ -9,7 +9,7 @@ work returns the number of unreachable objects it found, which must be 0.
 
 import gc
 
-from cichon import facts, finite, submodel
+from cichon import facts, finite
 from cichon.builtins import BUILTINS
 
 
@@ -26,7 +26,7 @@ def _leftover(work) -> dict:
 def test_builtins_derive_and_replay_leave_no_cycles():
     def replay(b):
         ctx = b.ctx()
-        model = submodel.run_plan(ctx, b.plan) if b.kind == "plan" else b.derive()
+        model = b.derive()
         facts.verify(model.db)
         facts.check_trace(ctx, model.db.trace_lines())
 

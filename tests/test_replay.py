@@ -15,15 +15,13 @@ from cichon import forge
 from cichon.builtins import BUILTINS, builtin
 from cichon.cards import ALEPH1, ContextBuilder
 from cichon.facts import REPLAY, FactDB, ReplayError, check_trace, close, verify
-from cichon.submodel import run_plan
 from cichon.systems import Card, Ideal, Prod, R4, dual
 
 REPLAY.setdefault("axiom:test", lambda db, fid, f: None)
 
 
 def derive(name):
-    b = builtin(name)
-    return run_plan(b.ctx(), b.plan).db if b.kind == "plan" else b.derive().db
+    return builtin(name).derive().db
 
 
 def prod_db():
@@ -267,9 +265,8 @@ def test_a_fresh_replay_resolves_every_builtin_rule():
                     assert "unknown rule 'rule:nonesuch'" in str(exc), exc
             assert check_trace(ctx, lines) == len(lines), name
         from cichon.builtins import BUILTINS
-        from cichon.submodel import run_plan
         for name, b in BUILTINS.items():
-            verify(run_plan(b.ctx(), b.plan).db if b.kind == "plan" else b.derive().db)
+            verify(b.derive().db)
     """
     first = next(iter(traces.values()))[1]
     src = os.path.dirname(os.path.dirname(os.path.abspath(forge.__file__)))

@@ -159,6 +159,14 @@ def test_run_deterministic(cmax, result):
     assert again.db.pairs() == result.db.pairs()
 
 
+def test_builtin_derive_runs_the_plan(cmax, result):
+    model = builtin("cichon_max").derive()
+    assert model.constellation == result.constellation
+    assert model.db.pairs() == result.db.pairs()
+    assert model.log.snapshots == result.log.snapshots
+    assert model.trace == ()
+
+
 def test_plan_order_violation(cmax):
     ctx, plan = cmax
     steps = list(plan.steps)

@@ -92,6 +92,20 @@ def test_plan_missing_chain_errors():
         """)
 
 
+@pytest.mark.parametrize("edit", ["swap", "drop"])
+def test_plan_steps_out_of_order_fail_at_the_header(edit):
+    rf = builtin_file("cichon_max")
+    text = render_file(rf, rf.ctx())
+    d4, b4 = "  chain d 4 (lam4d, succ(th4m), th4);\n", "  chain b 4 (lam4b, th4m, th4m);\n"
+    assert d4 + b4 in text
+    text = text.replace(d4 + b4, b4 + d4 if edit == "swap" else d4)
+    header = text[:text.index("plan cichon_max {")].count("\n") + 1
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == header
+    assert "plan cichon_max needs its steps in the order chain d 4, chain b 4" in str(err.value)
+
+
 def test_assignment_unknown_entry():
     with pytest.raises(ParseError):
         parse("context { card lam regular; }\nassign a { bogus = lam; }\n")
