@@ -33,12 +33,12 @@ class Builtin:
     def ctx(self) -> CardContext:
         return CardContext(self.context)
 
-    def derive(self, order=None) -> DerivedModel:
-        """Run the recipe (its applications permuted by ORDER), the axiom
-        model or the plan; a plan's model carries its tables in `log`."""
+    def derive(self) -> DerivedModel:
+        """Run the recipe, the axiom model or the plan; a plan's model
+        carries its tables in `log`."""
         ctx = self.ctx()
         if self.kind == "recipe":
-            return run_recipe(ctx, self.recipe, order=order)
+            return run_recipe(ctx, self.recipe)
         if self.kind == "axiom":
             return axiom_model(ctx, self.name, self.axiom_cards)
         return submodel.run_plan(ctx, self.plan)

@@ -1,7 +1,10 @@
 """Exact finite relational systems: b/d numbers, duals, products, Tukey search.
 
 A finite relational system is an incidence matrix between a challenge set X
-and a response set Y.  The two invariants are
+and a response set Y.  A `FinSys` is stored as its rows, one bitmask over Y
+per challenge; `FinSys.cones()` is its one column view, and every other
+view (the dual, the cover sets, the search's bound masks) is read from
+those two.  The two invariants are
 
     d_num: the least number of responses dominating every challenge
            (a minimum set cover of X by the cones {x : x rel y}), and
@@ -81,25 +84,22 @@ class FinSys:
     def rel(self, x: int, y: int) -> bool:
         return bool(self.rows[x] >> y & 1)
 
-    def cone(self, y: int) -> int:
-        """Bitmask over X of the challenges bounded by response y."""
-        return sum(1 << x for x in range(self.x_size) if self.rel(x, y))
-
     def cones(self) -> list[int]:
-        return [self.cone(y) for y in range(self.y_size)]
+        """The column view: cones()[y] is the bitmask over X of the
+        challenges that response y bounds."""
+        return [sum(1 << x for x, row in enumerate(self.rows) if row >> y & 1)
+                for y in range(self.y_size)]
 
 
 # ---------------------------------------------------------------------------
 # exact minimum cover
 # ---------------------------------------------------------------------------
 
-def _greedy_cover(universe: int, sets: list[int]) -> int | float:
+def _greedy_cover(universe: int, sets: list[int]) -> int:
+    """Size of a greedy cover; `sets` must cover `universe`."""
     covered, used = 0, 0
     while covered & universe != universe:
-        best = max(sets, key=lambda s: bin(s & universe & ~covered).count("1"))
-        if best & universe & ~covered == 0:
-            return TOP
-        covered |= best
+        covered |= max(sets, key=lambda s: bin(s & universe & ~covered).count("1"))
         used += 1
     return used
 
@@ -192,11 +192,8 @@ def b_num_brute(R: FinSys) -> int | float:
 
 def dual(R: FinSys) -> FinSys:
     """Swap roles and negate: rows'[y] bit x set iff not (x rel y)."""
-    rows = tuple(
-        sum(1 << x for x in range(R.x_size) if not R.rel(x, y))
-        for y in range(R.y_size)
-    )
-    return FinSys(R.y_size, R.x_size, rows)
+    full_x = (1 << R.x_size) - 1
+    return FinSys(R.y_size, R.x_size, tuple(full_x & ~c for c in R.cones()))
 
 
 def product(R: FinSys, R2: FinSys, size_limit: int = DEFAULT_SIZE_LIMIT) -> FinSys:
@@ -268,32 +265,25 @@ def tukey_search(R: FinSys, R2: FinSys,
         return None
 
     full_y = (1 << R.y_size) - 1
-    return _assign(0, [], [full_y] * R2.y_size, R, R2, R.cones())
+    return _assign(0, [], [full_y] * R2.y_size, R, R2)
 
 
-def _assign(x: int, psi: list[int], cand: list[int], R: FinSys, R2: FinSys,
-            cones: list[int]) -> TukeyMorphism | None:
+def _assign(x: int, psi: list[int], cand: list[int], R: FinSys, R2: FinSys
+            ) -> TukeyMorphism | None:
     """Extend the partial psi_minus `psi` (defined below x) lexicographically.
 
     cand[y2] = bitmask of y in Y still usable as psi_plus(y2) given the
     partial psi_minus; assigning psi_minus(x) = x2 with x2 rel' y2 forces
-    psi_plus(y2) to bound x.  `cones` is R.cones(), over X indexed by y."""
+    psi_plus(y2) into R.rows[x], the responses that bound x."""
     if x == R.x_size:
         plus = tuple((m & -m).bit_length() - 1 for m in cand)
         return TukeyMorphism(tuple(psi), plus)
-    bound_mask = sum(1 << y for y in range(R.y_size) if cones[y] >> x & 1)
-    for x2 in range(R2.x_size):
-        new_cand = list(cand)
-        ok = True
-        for y2 in range(R2.y_size):
-            if R2.rel(x2, y2):
-                new_cand[y2] &= bound_mask
-                if new_cand[y2] == 0:
-                    ok = False
-                    break
-        if ok:
+    bounds_x = R.rows[x]
+    for x2, row2 in enumerate(R2.rows):
+        new_cand = [c & bounds_x if row2 >> y2 & 1 else c for y2, c in enumerate(cand)]
+        if all(new_cand):
             psi.append(x2)
-            found = _assign(x + 1, psi, new_cand, R, R2, cones)
+            found = _assign(x + 1, psi, new_cand, R, R2)
             if found is not None:
                 return found
             psi.pop()
@@ -333,44 +323,43 @@ class FinIdeal:
         for s in mem:
             if s >= 1 << self.ground_size:
                 raise BadParameters("member exceeds ground set")
-            # downward closure: dropping any one element stays inside
-            t = s
-            while t:
-                low = t & -t
-                if (s & ~low) not in mem:
-                    raise BadParameters("ideal is not downward closed")
-                t &= ~low
+            if any(sub not in mem for sub in _one_smaller(s)):
+                raise BadParameters("ideal is not downward closed")
 
     @staticmethod
     def from_sets(ground_size: int, sets) -> "FinIdeal":
-        masks = {0}
-        for s in sets:
-            masks.add(sum(1 << i for i in s))
-        for i in range(ground_size):
-            masks.add(1 << i)
+        masks = {0, *(sum(1 << i for i in s) for s in sets),
+                 *(1 << i for i in range(ground_size))}
         # close downward
         stack = list(masks)
         while stack:
-            s = stack.pop()
-            t = s
-            while t:
-                low = t & -t
-                sub = s & ~low
+            for sub in _one_smaller(stack.pop()):
                 if sub not in masks:
                     masks.add(sub)
                     stack.append(sub)
-                t &= ~low
-        order = sorted(masks, key=lambda m: (bin(m).count("1"), m))
-        return FinIdeal(ground_size, tuple(order))
+        return _ideal(ground_size, masks)
+
+
+def _one_smaller(s: int):
+    """The subsets of bitmask s with exactly one element fewer."""
+    t = s
+    while t:
+        low = t & -t
+        yield s & ~low
+        t &= ~low
+
+
+def _ideal(ground_size: int, masks) -> FinIdeal:
+    """The ideal with these members, in the canonical order: by size, then value."""
+    return FinIdeal(ground_size, tuple(sorted(masks, key=lambda m: (bin(m).count("1"), m))))
 
 
 def small_sets_ideal(n: int, k: int) -> FinIdeal:
-    """The ideal of subsets of {0..n-1} of size < k."""
-    if not 1 <= k <= n:
-        raise BadParameters("need 1 <= k <= n")
-    members = [m for m in range(1 << n) if bin(m).count("1") < k]
-    members.sort(key=lambda m: (bin(m).count("1"), m))
-    return FinIdeal(n, tuple(members))
+    """The ideal of subsets of {0..n-1} of size < k; k >= 2, so that it
+    holds the singletons."""
+    if not 2 <= k <= n:
+        raise BadParameters("need 2 <= k <= n")
+    return _ideal(n, (m for m in range(1 << n) if bin(m).count("1") < k))
 
 
 def systems_of_ideal(I: FinIdeal) -> tuple[FinSys, FinSys]:
@@ -415,20 +404,18 @@ def from_preorder(matrix) -> tuple[FinSys, bool]:
     for row in matrix:
         if len(row) != n:
             raise NotPreorder("relation must be square")
-    for i in range(n):
-        if not matrix[i][i]:
-            raise NotPreorder(f"not reflexive at {i}")
-    for i in range(n):
-        for j in range(n):
-            if matrix[i][j]:
-                for k in range(n):
-                    if matrix[j][k] and not matrix[i][k]:
-                        raise NotPreorder(f"not transitive at {i},{j},{k}")
     sys = FinSys.from_matrix(matrix)
-    directed = all(
-        any(sys.rel(i, z) and sys.rel(j, z) for z in range(n))
-        for i in range(n) for j in range(n)
-    )
+    rows = sys.rows
+    for i, row in enumerate(rows):
+        if not row >> i & 1:
+            raise NotPreorder(f"not reflexive at {i}")
+    for i, row in enumerate(rows):
+        for j in range(n):
+            missing = rows[j] & ~row  # k with j <= k but not i <= k
+            if row >> j & 1 and missing:
+                k = (missing & -missing).bit_length() - 1
+                raise NotPreorder(f"not transitive at {i},{j},{k}")
+    directed = all(a & b for a in rows for b in rows)  # some z above both
     return sys, directed
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from cichon.cards import ALEPH1, ContextBuilder
 from cichon.facts import (DivergentUniverse, FactDB, ReplayError, base_facts,
-                          check_trace, close, verify)
+                          check_trace, cideal_mono, close, verify)
 from cichon.systems import (CIdeal, Card, CoverSys, Ideal, Ord, Prod, R1,
                             R2, R3, R4, dual)
 from cichon import finite as fin
@@ -184,3 +184,36 @@ def test_rules_sound_at_finite_scale():
         assert fin.TukeyMorphism(proj_minus, proj_plus).validates(A, p)
         checked_proj += 1
     assert checked_trans > 5 and checked_dual > 10 and checked_proj == 120
+
+
+def test_cideal_mono_sound_at_finite_scale():
+    """`rule:cideal-mono` read on finite carriers: whenever the rule orders
+    C[n<k] below C[n'<k'] for 2 <= k <= n <= 5, the exhaustive search finds
+    a Tukey connection between the covering systems of [n]^{<k} and
+    [n']^{<k'}.  Product b = min, the other rule with a finite reading, is
+    acceptance criterion 2 (`test_criterion_2_product_laws`).
+
+    `rule:card-embed`, `rule:ideal-collapse` and `rule:ord-cofinality` have
+    no finite analogue: each speaks of infinite regular cardinals (a regular
+    embedding below an ideal, |X|^{<theta} = |X|, the cofinality of a limit
+    ordinal).  A finite linear order has a top element, so it is
+    Tukey-equivalent to a point, and no finite system plays a regular
+    cardinal."""
+    b = ContextBuilder()
+    names = {i: f"n{i}" for i in range(2, 6)}
+    for name in names.values():
+        b.card(name, regular=True)
+    b.chain([ALEPH1, *names.values()], strict=True)
+    ctx = b.build()
+    shapes = [(n, k) for n in range(2, 6) for k in range(2, n + 1)]
+    checked = 0
+    for n, k in shapes:
+        for n2, k2 in shapes:
+            if not cideal_mono(ctx, CIdeal(names[n], names[k]), CIdeal(names[n2], names[k2])):
+                continue
+            R, R2 = fin.ideal_systems(n, k)[1], fin.ideal_systems(n2, k2)[1]
+            found = fin.tukey_search(R, R2)
+            assert found is not None and found.validates(R, R2), (n, k, n2, k2)
+            checked += 1
+    assert checked == sum(1 for n, k in shapes for n2, k2 in shapes
+                          if k2 <= k and n <= n2)

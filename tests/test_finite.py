@@ -208,6 +208,8 @@ def test_ideal_bad_parameters():
         ideal_systems(3, 0)
     with pytest.raises(BadParameters):
         ideal_systems(3, 4)
+    with pytest.raises(BadParameters, match=r"need 2 <= k <= n"):
+        ideal_systems(3, 1)  # [3]^{<1} is {∅}, which holds no singleton
 
 
 def test_ideal_validation():

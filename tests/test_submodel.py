@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import pytest
 
 from cichon.builtins import FIG16_BOTTOM, builtin
@@ -5,8 +8,8 @@ from cichon.cards import CardContext
 from cichon.diagram import check_assignment, pinned_values
 from cichon.facts import verify
 from cichon.forge import MissingAssumption
-from cichon.submodel import (ChainSpec, Plan, PlanOrderViolation, SysState,
-                             format_tables, init_from_gksmax,
+from cichon.submodel import (ChainSpec, Plan, PlanOrderViolation, SubmodelError,
+                             SysState, Unpinned, format_tables, init_from_gksmax,
                              plan_diagnostics, run_plan, step)
 from cichon.systems import Card, Prod, Prs
 
@@ -231,3 +234,92 @@ def test_plan_tolerates_aliased_targets():
     assert ctx.same(st.d, "lam2d")
     vals = pinned_values(result.constellation)
     assert ctx.same(vals["nonN"], "lam2d") and ctx.same(vals["d"], "lam3d")
+
+
+# -- refusals of the plan engine ----------------------------------------------
+
+@pytest.mark.parametrize("below,b,d,pos,message", [
+    ({"th4", "thinf"}, "th4", "thinf", -1, "final width lamc does not dominate system 1 (d=thinf)"),
+    ({"th4", "z"}, "th4", "thinf", 0, "cannot compare z with width th4"),
+    # b sits below the chain length, so min(b, degree) misses min(below)
+    ({"th4", "thinf"}, "lam1b", "thinf", 0,
+     "system 1: b bounds do not meet (lower lam1b, upper lam4d)"),
+    # thinf collapses onto lam4d, while d traces to th4 in the model; off the
+    # b-step of system 1 no product bound closes the gap
+    ({"thinf"}, "th4", "thinf", 0, "system 1: d bounds do not meet (lower lam4d, upper th4)"),
+    ({"th4"}, "th4", "z", 0, "system 1: no minimum among"),
+])
+def test_step_refusals(cmax, below, b, d, pos, message):
+    """Each way `step` refuses to pin a system, on hand-built states; z is
+    a regular cardinal the context orders against nothing else."""
+    _, plan = cmax
+    ctx = CardContext(builtin("cichon_max").context + (("card", "z", True),))
+    with pytest.raises(Unpinned, match=re.escape(message)):
+        step([SysState(frozenset(below), b, d)] * 4, plan.steps[pos], ctx)
+
+
+def test_sys_state_check(cmax):
+    ctx, _ = cmax
+    with pytest.raises(SubmodelError, match=r"below-cardinal th1 escapes \[th2,th3\]"):
+        SysState(frozenset({"th1"}), "th2", "th3").check(ctx)
+    with pytest.raises(SubmodelError, match="b=th3 above d=th2"):
+        SysState(frozenset(), "th3", "th2").check(ctx)
+
+
+def test_plan_undeclared_name(cmax):
+    ctx, plan = cmax
+    bad = replace(plan, final_width="nowhere")
+    assert plan_diagnostics(ctx, bad) == ["context does not declare nowhere"]
+    with pytest.raises(MissingAssumption, match="context does not declare nowhere"):
+        run_plan(ctx, bad)
+
+
+@pytest.mark.parametrize("pos,change,message", [
+    (-1, dict(width="lam1d"), "final width must be the continuum target"),
+    (0, dict(length="lamc"), "chain length lamc must be regular uncountable"),
+    (0, dict(length="thinf"), "chain length thinf must sit below the width th4"),
+    (0, dict(closure="thinf"), "d-chain 4: closure thinf must be succ(th4m)"),
+    (1, dict(closure="th3"), "b-chain 4: closure and width must both be theta^-"),
+])
+def test_plan_diagnostics_on_changed_steps(cmax, pos, change, message):
+    ctx, plan = cmax
+    steps = list(plan.steps)
+    steps[pos] = replace(steps[pos], **change)
+    bad = replace(plan, steps=tuple(steps))
+    assert message in plan_diagnostics(ctx, bad)
+    with pytest.raises(MissingAssumption, match=re.escape(message)):
+        run_plan(ctx, bad)
+
+
+@pytest.mark.parametrize("decl,message", [
+    (("pow", "lamc", "aleph0"), "needs pow(lamc,aleph0)=lamc declared"),
+    (("pow_lt", "th4m", "th4m"), "b-chain 4: needs pow_lt(th4m,th4m)=th4m"),
+])
+def test_plan_diagnostics_on_missing_assumptions(cmax, decl, message):
+    _, plan = cmax
+    decls = builtin("cichon_max").context
+    assert decl in decls
+    ctx = CardContext(tuple(d for d in decls if d != decl))
+    assert plan_diagnostics(ctx, plan) == [message]
+    with pytest.raises(MissingAssumption, match=re.escape(message)):
+        run_plan(ctx, plan)
+
+
+def test_product_bound_refusal(cmax):
+    # the d-chain 1 length lam1d moves above th1 (under a new width w1), so
+    # the b-step of level 1 collapses it out of system 1's below-set while
+    # the product Lambda_1 still has it as its largest factor
+    _, plan = cmax
+    moved = (("lt", "lam2d", "lam1d"), ("lt", "lam1d", "lamc"))
+    decls = tuple(d for d in builtin("cichon_max").context if d not in moved) + (
+        ("card", "w1", True), ("lt", "lam2d", "lamc"), ("lt", "th1", "lam1d"),
+        ("lt", "lam1d", "w1"), ("lt", "w1", "th2m"), ("pow", "w1", "th1m"))
+    ctx = CardContext(decls)
+    steps = list(plan.steps)
+    steps[6] = replace(steps[6], width="w1")  # d-chain 1
+    bad = replace(plan, steps=tuple(steps))
+    assert plan_diagnostics(ctx, bad) == []
+    with pytest.raises(Unpinned, match=re.escape(
+            "product bound prod(lam1d,lam1b,lam2d,lam2b,lam3d,lam3b,lam4d,lam4b) "
+            "gives (lam1b,lam1d), state has (lam1b,lam2d)")):
+        run_plan(ctx, bad)
