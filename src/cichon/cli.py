@@ -10,8 +10,9 @@ that defines it (src/cichon/models/: cohen random evdiff hechler loc mod1
 mod2 mod3 mod5 gksmax kst bcm cichon_max, and cichon_max's assignment
 cichon_max_bottom).  `derive` runs a recipe or an axiom model.
 
-Exit codes: 0 success, 1 derivation failures or constraint violations,
-2 malformed input.
+Exit codes: 0 success, 1 derivation failures, constraint violations or
+no connection found, 2 malformed input or a finite instance past the
+search budget.
 """
 
 from __future__ import annotations
@@ -196,11 +197,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CliInputError, CardError, ExprError) as exc:
+    except (CliInputError, CardError, ExprError, finite.FiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (forge.ForgeError, submodel.SubmodelError, FactError,
-            diagram.DiagramError, finite.FiniteError) as exc:
+            diagram.DiagramError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -215,7 +215,7 @@ def seed_facts(ctx: CardContext, cn: str) -> list[tuple]:
     out = [(a, b, "seed:diagram", (), NOTE_DIAGRAM) for a, b in edges]
     equivs = [(R4, cM), (cM, R4), (R2, dual(cN)), (dual(cN), R2), (R1, iN), (iN, R1)]
     out += [(a, b, "seed:prs-equiv", (), NOTE_PRS_EQUIV) for a, b in equivs]
-    trivial = [(cM, iM), (dual(cM), iM), (cN, iN), (dual(cN), iN)]
+    trivial = [(cM, iM), (cN, iN)]  # dual(cM) -> iM and dual(cN) -> iN are diagram edges
     out += [(a, b, "seed:ideal-cover", (), NOTE_IDEAL_COVER) for a, b in trivial]
     prs = [(R4, R1), (R4, R2), (R4, R3)]
     out += [(a, b, "seed:prs-meager", (), NOTE_PRS_MEAGER) for a, b in prs]

@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 
 TOP = math.inf
 
-DEFAULT_BD_LIMIT = 12                # carrier bound for the exact b/d solvers
+NODE_BUDGET = 100_000                # nodes one exact search may expand before it refuses
 DEFAULT_SIZE_LIMIT = 1_000_000       # cells in a product system
-DEFAULT_SEARCH_LIMIT = 100_000_000   # |X'|^|X| psi_minus leaves for tukey_search
 
 
 class FiniteError(Exception):
@@ -74,7 +73,7 @@ class FinSys:
     @staticmethod
     def from_matrix(matrix) -> "FinSys":
         rows = []
-        width = len(matrix[0])
+        width = len(matrix[0]) if matrix else 0
         for row in matrix:
             if len(row) != width:
                 raise BadParameters("ragged relation matrix")
@@ -106,7 +105,7 @@ def _greedy_cover(universe: int, sets: list[int]) -> int:
 
 def _search_cover(uncovered: int, used: int, best, sets, covers_of, seen: dict):
     """Branch and bound: the least cover size found below `uncovered`
-    (`best` if none beats it)."""
+    (`best` if none beats it).  `seen` has one entry per node expanded."""
     if uncovered == 0:
         return min(best, used)
     if used + 1 >= best:
@@ -115,6 +114,8 @@ def _search_cover(uncovered: int, used: int, best, sets, covers_of, seen: dict):
     if prior is not None and prior <= used:
         return best
     seen[uncovered] = used
+    if len(seen) > NODE_BUDGET:
+        raise SizeLimit(f"cover search exceeds {NODE_BUDGET} nodes")
     # branch on the uncovered element with the fewest candidate sets
     elem = min((e for e in covers_of if uncovered >> e & 1),
                key=lambda e: len(covers_of[e]))
@@ -142,23 +143,20 @@ def min_cover(universe: int, sets: list[int]) -> int | float:
     for e in range(n_elems):
         if universe >> e & 1:
             covers_of[e] = [i for i, s in enumerate(sets) if s >> e & 1]
-    return _search_cover(universe, 0, _greedy_cover(universe, sets), sets, covers_of, {})
+    try:
+        return _search_cover(universe, 0, _greedy_cover(universe, sets), sets, covers_of, {})
+    except RecursionError:  # one frame per set taken
+        raise SizeLimit("cover search nests deeper than the interpreter allows") from None
 
 
-def _guard(R: FinSys, size_limit):
-    if size_limit is not None and max(R.x_size, R.y_size) > size_limit:
-        raise SizeLimit(f"carriers {R.x_size}x{R.y_size} exceed {size_limit}")
-
-
-def d_num(R: FinSys, size_limit: int | None = DEFAULT_BD_LIMIT) -> int | float:
+def d_num(R: FinSys) -> int | float:
     """Dominating number: minimum set cover of X by cones; TOP if some x uncovered."""
-    _guard(R, size_limit)
     return min_cover((1 << R.x_size) - 1, R.cones())
 
 
-def b_num(R: FinSys, size_limit: int | None = DEFAULT_BD_LIMIT) -> int | float:
+def b_num(R: FinSys) -> int | float:
     """Unbounding number, as b(R) = d(dual(R))."""
-    return d_num(dual(R), size_limit)
+    return d_num(dual(R))
 
 
 def d_num_brute(R: FinSys) -> int | float:
@@ -243,38 +241,38 @@ class TukeyMorphism:
         return True
 
 
-def tukey_search(R: FinSys, R2: FinSys,
-                 search_limit: int = DEFAULT_SEARCH_LIMIT) -> TukeyMorphism | None:
+def tukey_search(R: FinSys, R2: FinSys) -> TukeyMorphism | None:
     """Exhaustive search for a Tukey connection R -> R2.
 
     Complete: returns a morphism iff one exists.  The b/d monotonicity
     corollary is applied first as a refutation; afterwards psi_minus is
     enumerated lexicographically with per-response candidate pruning, so
-    the returned witness is reproducible.  The enumeration is the
-    module-level `_assign`, not a closure that calls itself, so no
-    reference cycle keeps its candidate lists alive after the call.
+    the returned witness is reproducible.  Each of the four refutation
+    solves and the enumeration stops at NODE_BUDGET nodes.  The
+    enumeration is the module-level `_assign`, not a closure that calls
+    itself, so no reference cycle keeps its candidate lists alive after
+    the call.
     """
-    space = R2.x_size ** R.x_size  # psi_plus is derived, not enumerated
-    if space > search_limit:
-        raise SearchSpaceTooLarge(f"{space} > {search_limit}")
-
-    # the refutation reuses the exact solvers; the search limit above is
-    # the governing bound here, not the solver carrier default
-    if (b_num(R2, size_limit=None) > b_num(R, size_limit=None)
-            or d_num(R, size_limit=None) > d_num(R2, size_limit=None)):
+    if b_num(R2) > b_num(R) or d_num(R) > d_num(R2):
         return None
 
     full_y = (1 << R.y_size) - 1
-    return _assign(0, [], [full_y] * R2.y_size, R, R2)
+    try:
+        return _assign(0, [], [full_y] * R2.y_size, R, R2, count(1))
+    except RecursionError:  # one frame per challenge of R
+        raise SearchSpaceTooLarge("psi_minus search nests deeper than the interpreter allows") from None
 
 
-def _assign(x: int, psi: list[int], cand: list[int], R: FinSys, R2: FinSys
-            ) -> TukeyMorphism | None:
+def _assign(x: int, psi: list[int], cand: list[int], R: FinSys, R2: FinSys,
+            calls: count) -> TukeyMorphism | None:
     """Extend the partial psi_minus `psi` (defined below x) lexicographically.
 
     cand[y2] = bitmask of y in Y still usable as psi_plus(y2) given the
     partial psi_minus; assigning psi_minus(x) = x2 with x2 rel' y2 forces
-    psi_plus(y2) into R.rows[x], the responses that bound x."""
+    psi_plus(y2) into R.rows[x], the responses that bound x.  `calls`
+    numbers the calls of one search, which stops past NODE_BUDGET."""
+    if next(calls) > NODE_BUDGET:
+        raise SearchSpaceTooLarge(f"psi_minus search exceeds {NODE_BUDGET} nodes")
     if x == R.x_size:
         plus = tuple((m & -m).bit_length() - 1 for m in cand)
         return TukeyMorphism(tuple(psi), plus)
@@ -283,7 +281,7 @@ def _assign(x: int, psi: list[int], cand: list[int], R: FinSys, R2: FinSys
         new_cand = [c & bounds_x if row2 >> y2 & 1 else c for y2, c in enumerate(cand)]
         if all(new_cand):
             psi.append(x2)
-            found = _assign(x + 1, psi, new_cand, R, R2)
+            found = _assign(x + 1, psi, new_cand, R, R2, calls)
             if found is not None:
                 return found
             psi.pop()

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 from cichon.builtins import builtin
 from cichon.cli import main
 from cichon.facts import check_trace
+from cichon.finite import FinSys, d_num_brute, format_finsys, ideal_systems
 from cichon.textfmt import MODELS, builtin_file, render_file
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(MODELS)))
@@ -134,6 +136,31 @@ def test_finite_subcommands(tmp_path, capsys):
     assert code == 0 and out.splitlines()[0] == "3 3"
     code, out, _ = run(capsys, "finite", "product", str(id2), str(id2))
     assert code == 0 and out.splitlines()[0] == "4 4"
+
+
+def test_finite_past_the_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # d(id3) = 3 takes a two-node cover search; `none` keeps exit 1
+    id3 = tmp_path / "id3.sys"
+    id3.write_text("3 3\n100\n010\n001\n")
+    monkeypatch.setattr("cichon.finite.NODE_BUDGET", 1)
+    code, out, err = run(capsys, "finite", "d", str(id3))
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_finite_calls_the_benchmark_may_refuse(tmp_path, capsys):
+    """The two `cli` benchmark calls whose refusal it forgives, on inputs
+    drawn the same way: both are answered."""
+    rng = random.Random(7)
+    rows = tuple(sum(1 << j for j in range(16) if rng.random() < 0.5) for _ in range(16))
+    dense = tmp_path / "rand16.sys"
+    dense.write_text(format_finsys(FinSys(16, 16, rows)))
+    code, out, _ = run(capsys, "finite", "d", str(dense))
+    assert code == 0 and out.strip() == str(d_num_brute(FinSys(16, 16, rows)))
+    c5_2, c6_3 = tmp_path / "c5_2.sys", tmp_path / "c6_3.sys"
+    c5_2.write_text(format_finsys(ideal_systems(5, 2)[1]))
+    c6_3.write_text(format_finsys(ideal_systems(6, 3)[1]))
+    code, out, _ = run(capsys, "finite", "search", str(c5_2), str(c6_3))
+    assert code == 1 and out.strip() == "none"
 
 
 def test_finite_parse_error_exits_2(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from cichon.cards import ALEPH1, ContextBuilder
 from cichon.facts import (DivergentUniverse, FactDB, ReplayError, base_facts,
-                          check_trace, cideal_mono, close, verify)
+                          check_trace, cideal_mono, close, seed_facts, verify)
 from cichon.systems import (CIdeal, Card, CoverSys, Ideal, Ord, Prod, R1,
                             R2, R3, R4, dual)
 from cichon import finite as fin
@@ -22,6 +22,14 @@ def test_base_facts_reach_continuum():
         assert db.has(r, C)
         assert db.has(dual(C), dual(r))
     verify(db)
+
+
+def test_every_seed_enters_the_base_database():
+    from cichon.builtins import BUILTINS
+    for name, b in BUILTINS.items():
+        db = base_facts(b.ctx())
+        seeds = seed_facts(b.ctx(), db.c_name)
+        assert [(f.lhs, f.rhs, f.rule, f.params, f.note) for f in db.facts] == seeds, name
 
 
 def test_forced_c_renames_continuum():

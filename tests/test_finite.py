@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -79,11 +80,12 @@ def test_product_example():
     assert d_num(p) == 2
 
 
-def test_bd_size_guard():
-    big = identity_system(13)
+def test_bd_size_guard(monkeypatch):
+    big = identity_system(13)  # b = 2 takes one search node
+    assert b_num(big) == 2
+    monkeypatch.setattr("cichon.finite.NODE_BUDGET", 5)
     with pytest.raises(SizeLimit):
-        b_num(big)
-    assert b_num(big, size_limit=None) == 2
+        d_num(big)  # d = 13: a 12-node deep cover search
 
 
 def test_product_neutral_factor():
@@ -124,10 +126,47 @@ def test_inclusion_found_and_refutation():
     assert tukey_search(identity_system(3), identity_system(2)) is None
 
 
-def test_search_space_limit():
-    big = identity_system(10)
+def test_search_space_limit(monkeypatch):
+    big = identity_system(10)  # 10^10 psi_minus leaves, but 11 calls find the identity
+    assert tukey_search(big, big).psi_minus == tuple(range(10))
+    monkeypatch.setattr("cichon.finite.NODE_BUDGET", 10)
     with pytest.raises(SearchSpaceTooLarge):
-        tukey_search(big, big, search_limit=10)
+        tukey_search(big, big)
+
+
+@given(systems(max_x=6, max_y=6), systems(max_x=3, max_y=3), st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_budgeted_calls_answer_or_refuse(R, R2, budget):
+    """Under any budget each call gives the unbudgeted answer or refuses
+    with its typed error; it never returns a different answer."""
+    found = tukey_search(R, R2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("cichon.finite.NODE_BUDGET", budget)
+        for solve, want in ((d_num, d_num_brute(R)), (b_num, b_num_brute(R))):
+            try:
+                assert solve(R) == want
+            except SizeLimit:
+                pass
+        try:
+            assert tukey_search(R, R2) == found
+        except (SizeLimit, SearchSpaceTooLarge):
+            pass
+
+
+def test_too_deep_a_search_is_refused():
+    """Both searches take one stack frame per level; one deeper than the
+    interpreter allows is a typed refusal, not a RecursionError."""
+    n = 300
+    every = FinSys(n, 1, (1,) * n)  # d = 1, b = TOP: no refutation
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(n)
+    try:
+        with pytest.raises(SizeLimit):
+            d_num(identity_system(n))
+        with pytest.raises(SearchSpaceTooLarge):
+            tukey_search(every, identity_system(1))
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_search_is_exhaustive_small():
@@ -200,7 +239,7 @@ def test_ideal_systems_values():
 
 def test_ideal_k_equals_n():
     _, c_sys = ideal_systems(4, 4)  # 15 members, above the default guard
-    assert d_num(c_sys, size_limit=None) == 2
+    assert d_num(c_sys) == 2
 
 
 def test_ideal_bad_parameters():
@@ -239,8 +278,8 @@ def test_trivial_ideal_morphisms_give_figure1():
         assert add <= non <= cof and add <= cov <= cof
     # the exhaustive search also finds both on the smallest instance
     i_sys, c_sys = ideal_systems(3, 2)
-    assert tukey_search(c_sys, i_sys, search_limit=10 ** 12) is not None
-    assert tukey_search(dual(c_sys), i_sys, search_limit=10 ** 12) is not None
+    assert tukey_search(c_sys, i_sys) is not None
+    assert tukey_search(dual(c_sys), i_sys) is not None
 
 
 def test_small_bounded_characterization():
@@ -272,6 +311,13 @@ def test_two_chains_common_top():
     # 0 <= 2, 1 <= 2, chains meet at the top
     sys, directed = from_preorder([[1, 0, 1], [0, 1, 1], [0, 0, 1]])
     assert directed and d_num(sys) == 1
+
+
+def test_empty_matrix_is_bad_parameters():
+    with pytest.raises(BadParameters, match="carriers must be non-empty"):
+        FinSys.from_matrix([])
+    with pytest.raises(BadParameters, match="carriers must be non-empty"):
+        from_preorder([])
 
 
 def test_not_preorder_rejected():
