@@ -44,7 +44,8 @@ loop over a rendered trace, which carries no ``meta``; `_replay` alone
 decides that such a trace's source facts are only checked to be well
 formed.  Every other check reads only the facts, so it re-derives from the
 trace alone: the structural rules here and the preEUB cardinal embeddings
-of `forge`.
+of `forge`.  `FactDB.trace_lines` and `parse_trace` render and parse a trace
+once per distinct expression, through a table that lives for one call.
 """
 
 from __future__ import annotations
@@ -81,10 +82,6 @@ class TukeyFact:
 
     def key(self) -> tuple[SysExpr, SysExpr]:
         return (self.lhs, self.rhs)
-
-    def pretty(self, fid: int) -> str:
-        prem = ",".join(str(p) for p in self.premises)
-        return f'{fid}: {render(self.lhs)} <= {render(self.rhs)}  [{self.rule}; {prem}; "{self.note}"]'
 
 
 class FactDB:
@@ -177,7 +174,17 @@ class FactDB:
         return out
 
     def trace_lines(self) -> list[str]:
-        return [f.pretty(i) for i, f in enumerate(self.facts)]
+        """One line per fact, the format `parse_trace` reads; each distinct
+        expression object is rendered once per call."""
+        shown: dict[int, str] = {}  # by id(expr): safe, self.facts keeps each side alive
+        lines = []
+        for fid, f in enumerate(self.facts):
+            lhs, rhs = f.lhs, f.rhs
+            a = shown.get(id(lhs)) or shown.setdefault(id(lhs), render(lhs))
+            c = shown.get(id(rhs)) or shown.setdefault(id(rhs), render(rhs))
+            prem = ",".join(map(str, f.premises))
+            lines.append(f'{fid}: {a} <= {c}  [{f.rule}; {prem}; "{f.note}"]')
+        return lines
 
 
 # ---------------------------------------------------------------------------
@@ -512,11 +519,15 @@ def verify(db: FactDB):
 import re as _re
 
 _TRACE_LINE = _re.compile(
-    r'^(\d+): (.*?) <= (.*?)  \[([^;\]]+); ([0-9, ]*); "(.*)"\]$')
+    r'^([0-9]+): (.*?) <= (.*?)  \[([^;\]]+); ([0-9, ]*); "(.*)"\]$')
 
 
 def parse_trace(lines) -> list[TukeyFact]:
+    """The facts of a rendered trace, without params.  Each distinct side
+    text is parsed once per call, and every line that repeats it shares the
+    one expression; a bad text fails at its first line."""
     out = []
+    parsed: dict[str, SysExpr] = {}  # side text -> its expression
     for k, line in enumerate(lines):
         line = line.rstrip("\n")
         if not line.strip():
@@ -528,11 +539,16 @@ def parse_trace(lines) -> list[TukeyFact]:
         if fid != len(out):
             raise ReplayError(f"trace line {k + 1}: expected id {len(out)}, got {fid}")
         prem = tuple(int(t) for t in m.group(5).replace(" ", "").split(",") if t)
-        try:
-            lhs, rhs = parse_expr(m.group(2)), parse_expr(m.group(3))
-        except ExprError as exc:
-            raise ReplayError(f"trace line {k + 1}: {exc}") from exc
-        out.append(TukeyFact(lhs, rhs, m.group(4), prem, (), m.group(6)))
+        sides = []
+        for text in m.group(2, 3):
+            e = parsed.get(text)
+            if e is None:
+                try:
+                    e = parsed[text] = parse_expr(text)
+                except ExprError as exc:
+                    raise ReplayError(f"trace line {k + 1}: {exc}") from exc
+            sides.append(e)
+        out.append(TukeyFact(sides[0], sides[1], m.group(4), prem, (), m.group(6)))
     return out
 
 

@@ -114,33 +114,39 @@ def _atom(tok: str, line: int) -> str:
 
 
 _HEADER = re.compile(r"(context|recipe|axiom|plan|assign)\b\s*([A-Za-z0-9_]*)\s*\{")
+_NONBLANK = re.compile(r"\S")
 
 
 def _blocks(text: str):
     """Yield (kind, name, header line, [(line, statement)]);
     whitespace-insensitive."""
     src = "\n".join(ln.split("#", 1)[0] for ln in text.splitlines())
+    line, at = 1, 0  # the line of position `at`; lineof only moves it forward
 
     def lineof(p: int) -> int:
-        return src.count("\n", 0, p) + 1
+        nonlocal line, at
+        line += src.count("\n", at, p)
+        at = p
+        return line
 
     pos = 0
     while True:
-        m = re.compile(r"\S").search(src, pos)
+        m = _NONBLANK.search(src, pos)
         if m is None:
             return
+        header = lineof(m.start())
         h = _HEADER.match(src, m.start())
         if h is None:
             raise ParseError(f"expected a block header, got {src[m.start():m.start() + 30]!r}",
-                             lineof(m.start()))
+                             header)
         kind, name = h.group(1), h.group(2)
         if kind != "context" and not name:
-            raise ParseError(f"{kind} block needs a name", lineof(m.start()))
+            raise ParseError(f"{kind} block needs a name", header)
         if kind == "context" and name:
-            raise ParseError("context block takes no name", lineof(m.start()))
+            raise ParseError("context block takes no name", header)
         end = src.find("}", h.end())
         if end == -1:
-            raise ParseError(f"unterminated {kind} block", lineof(h.start()))
+            raise ParseError(f"unterminated {kind} block", header)
         body: list[tuple[int, str]] = []
         cursor = h.end()
         for part in src[h.end():end].split(";"):
@@ -149,7 +155,7 @@ def _blocks(text: str):
                 lead = len(part) - len(part.lstrip())
                 body.append((lineof(cursor + lead), stmt))
             cursor += len(part) + 1
-        yield kind, name, lineof(m.start()), body
+        yield kind, name, header, body
         pos = end + 1
 
 

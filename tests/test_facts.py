@@ -1,13 +1,18 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
 
+from cichon.builtins import BUILTINS
 from cichon.cards import ALEPH1, ContextBuilder
 from cichon.facts import (DivergentUniverse, FactDB, ReplayError, base_facts,
-                          check_trace, cideal_mono, close, seed_facts, verify)
+                          check_trace, cideal_mono, close, parse_trace,
+                          seed_facts, verify)
+from cichon.forge import MissingAssumption, run_recipe
 from cichon.systems import (CIdeal, Card, CoverSys, Ideal, Ord, Prod, R1,
-                            R2, R3, R4, dual)
+                            R2, R3, R4, dual, render)
 from cichon import finite as fin
+from test_forge import _recipes
 
 
 def lam_ctx():
@@ -163,6 +168,45 @@ def test_trace_lines_check():
     lines[target] = lines[target].replace(" <= ", " <= dual(", 1).replace("  [", ")  [", 1)
     with pytest.raises(ReplayError):
         check_trace(db.ctx, lines)
+
+
+# -- the per-call tables of trace_lines and parse_trace ----------------------
+
+def _rendered(db):
+    """The trace, rendered fact by fact with `systems.render`."""
+    return [f'{i}: {render(f.lhs)} <= {render(f.rhs)}  '
+            f'[{f.rule}; {",".join(str(p) for p in f.premises)}; "{f.note}"]'
+            for i, f in enumerate(db.facts)]
+
+
+def _check_trace_tables(db):
+    lines = db.trace_lines()
+    assert lines == _rendered(db)
+    parsed = parse_trace(lines)
+    assert ([(f.lhs, f.rhs, f.rule, f.premises, f.note) for f in parsed]
+            == [(f.lhs, f.rhs, f.rule, f.premises, f.note) for f in db.facts])
+    first = {}  # text -> the first expression parsed from it
+    for f in parsed:
+        for e in (f.lhs, f.rhs):
+            assert first.setdefault(render(e), e) is e
+    assert len(first) < 2 * len(parsed)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_trace_tables_match_the_per_fact_paths(name):
+    _check_trace_tables(BUILTINS[name].derive().db)
+
+
+# about two draws in three miss an assumption; 50 that derive are checked
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(_recipes())
+def test_trace_tables_match_the_per_fact_paths_on_random_recipes(case):
+    ctx, r = case
+    try:
+        model = run_recipe(ctx, r)
+    except MissingAssumption:
+        reject()
+    _check_trace_tables(model.db)
 
 
 # -- finite-scale soundness of the structural rules -------------------------

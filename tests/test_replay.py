@@ -338,3 +338,11 @@ def test_check_trace_bad_expression(rule, old, new, where):
     number = k + 1 if where == "trace line" else k
     with pytest.raises(ReplayError, match=rf"^{where} {number}:"):
         check_trace(db.ctx, lines)
+
+
+def test_check_trace_fact_ids_take_ascii_digits_only():
+    db = derive("cohen")
+    lines = db.trace_lines()
+    lines[0] = "\u0660" + lines[0][1:]  # ARABIC-INDIC DIGIT ZERO for the id 0
+    with pytest.raises(ReplayError, match=r"^trace line 1 is malformed"):
+        check_trace(db.ctx, lines)

@@ -69,6 +69,22 @@ def test_parse_errors_carry_line_numbers():
     assert "line 2" in str(err2.value)
 
 
+_CARDS = "context {\n" + "".join(f"  card n{i} regular;\n" for i in range(2999))
+
+
+@pytest.mark.parametrize("tail,line,msg", [
+    ("  card bad extra words;\n}\n", 3001, "bad card declaration 'card bad extra words'"),
+    ("}\n\nrecipe {\n}\n", 3003, "recipe block needs a name"),
+    ("}\n\n  # a comment\nrecipe r {\n  length n1;\n", 3004, "unterminated recipe block"),
+    ("}\n\nbogus;\n", 3003, "expected a block header, got 'bogus;'"),
+], ids=["statement", "no-name", "unterminated", "no-header"])
+def test_errors_in_a_long_context_name_their_line(tail, line, msg):
+    with pytest.raises(ParseError) as err:
+        parse(_CARDS + tail)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {msg}"
+
+
 def test_unresolved_name_with_location():
     with pytest.raises(UnresolvedName) as err:
         parse("context { card lam regular; }\nrecipe r { length mu; slot cohen; }\n")
