@@ -8,8 +8,7 @@ assignment against the diagram's constraints - mirroring what
 """
 
 from cichon.diagram import check_assignment, format_constellation
-from cichon.forge import run_recipe
-from cichon.textfmt import parse
+from cichon.textfmt import derive, parse
 
 SOURCE = """
 # a Hechler-style iteration with one bookkept localization thread
@@ -34,12 +33,11 @@ assign guess {
 """
 
 rf = parse(SOURCE)
-ctx = rf.ctx()
-model = run_recipe(ctx, rf.recipes["demo"])
+model = derive(rf, "demo")  # the recipe, axiom model or plan of that name
 print("derived constellation:")
 print(format_constellation(model.constellation))
 
-violations = check_assignment(ctx, rf.assignments["guess"])
+violations = check_assignment(rf.ctx(), rf.assignments["guess"])
 print("checking the stated assignment:")
 for v in violations:
     print(" ", v)

@@ -6,54 +6,43 @@ iterations, the four many-values theorems, the three construction-heavy
 left-side models, and the Cichon's-maximum plan with its bottom-row
 assignment.  The files are written in the text format of `textfmt`, the
 same one users write, and `BUILTINS` is filled from them at import.
-`Builtin.derive` runs any of them to one `forge.DerivedModel`.
+`Builtin.derive` runs any of them through `textfmt.derive`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import submodel
-from .cards import CardContext
-from .forge import DerivedModel, Recipe, axiom_model, run_recipe
-from .textfmt import BUILTIN_NAMES, RecipeFile, builtin_file
+from .forge import DerivedModel, Recipe
+from .textfmt import BUILTIN_NAMES, RecipeFile, builtin_file, derive
+# not called here: perfbench/tracing.py wraps these three names in this module
+from .forge import CardContext, axiom_model, run_recipe  # noqa: F401
 
 
 @dataclass(frozen=True)
 class Builtin:
     name: str
-    kind: str                      # 'recipe' | 'axiom' | 'plan'
-    context: tuple                 # declaration list
-    recipe: Optional[Recipe] = None
-    axiom_cards: Optional[tuple[str, ...]] = None
-    plan: Optional[submodel.Plan] = None
-    assignments: tuple[tuple[str, dict], ...] = ()
+    kind: str                      # 'recipe' | 'axiom' | 'plan': the table of `file` holding it
+    file: RecipeFile = field(compare=False, repr=False)
+    context: tuple                 # the file's declaration list
+    recipe: Optional[Recipe]
+    axiom_cards: Optional[tuple[str, ...]]
+    plan: Optional[submodel.Plan]
 
     def ctx(self) -> CardContext:
-        return CardContext(self.context)
+        return self.file.ctx()
 
     def derive(self) -> DerivedModel:
-        """Run the recipe, the axiom model or the plan; a plan's model
-        carries its tables in `log`."""
-        ctx = self.ctx()
-        if self.kind == "recipe":
-            return run_recipe(ctx, self.recipe)
-        if self.kind == "axiom":
-            return axiom_model(ctx, self.name, self.axiom_cards)
-        return submodel.run_plan(ctx, self.plan)
-
-
-def _builtin(name: str, rf: RecipeFile) -> Builtin:
-    """The model the file models/NAME.rcp defines under NAME."""
-    kind = "recipe" if name in rf.recipes else "axiom" if name in rf.axioms else "plan"
-    return Builtin(name, kind, rf.context, recipe=rf.recipes.get(name),
-                   axiom_cards=rf.axioms.get(name), plan=rf.plans.get(name),
-                   assignments=tuple(rf.assignments.items()))
+        """Run the model on its file's context; a plan's keeps its tables in `log`."""
+        return derive(self.file, self.name)
 
 
 _FILES = {name: builtin_file(name) for name in BUILTIN_NAMES}
-BUILTINS = {name: _builtin(name, rf) for name, rf in _FILES.items()}
+BUILTINS = {name: Builtin(name, rf.kind_of(name), rf, rf.context, rf.recipes.get(name),
+                          rf.axioms.get(name), rf.plans.get(name))
+            for name, rf in _FILES.items()}
 # every name a shipped file defines (its model and its assignments) -> the file
 _DEFINED_IN = {n: rf for name, rf in _FILES.items() for n in (name, *rf.assignments)}
 FIG16_BOTTOM = dict(_FILES["cichon_max"].assignments["cichon_max_bottom"])

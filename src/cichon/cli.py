@@ -46,8 +46,8 @@ def _read(path: str, parse, errors):
 
 
 def _lookup(file, name: str, *tables: str):
-    """NAME's entry in the first of the RecipeFile tables that has it, and
-    the file: FILE, or without one the shipped model file defining NAME."""
+    """The file, FILE or without one the shipped model file defining NAME,
+    and NAME's entry in the first of the RecipeFile tables that has it."""
     if file:
         rf = _read(file, textfmt.parse, (textfmt.ParseError, textfmt.UnresolvedName))
     else:
@@ -58,7 +58,7 @@ def _lookup(file, name: str, *tables: str):
             raise CliInputError(exc.args[0]) from None
     for table in tables:
         if name in getattr(rf, table):
-            return rf, table, getattr(rf, table)[name]
+            return rf, getattr(rf, table)[name]
     raise CliInputError(f"{file} has no {' or '.join(t[:-1] for t in tables)} {name!r}")
 
 
@@ -103,18 +103,15 @@ def _report(args, model: forge.DerivedModel) -> int:
 
 
 def cmd_derive(args) -> int:
-    rf, table, entry = _lookup(args.file, args.recipe, "recipes", "axioms")
-    if table == "recipes":
-        return _report(args, forge.run_recipe(rf.ctx(), entry))
-    return _report(args, forge.axiom_model(rf.ctx(), args.recipe, entry))
+    rf, _ = _lookup(args.file, args.recipe, "recipes", "axioms")
+    return _report(args, textfmt.derive(rf, args.recipe))
 
 
 def cmd_intersect(args) -> int:
-    rf, _, plan = _lookup(args.file, args.plan, "plans")
-    ctx = rf.ctx()
-    model = submodel.run_plan(ctx, plan)
+    rf, plan = _lookup(args.file, args.plan, "plans")
+    model = textfmt.derive(rf, args.plan)
     if args.tables:
-        print(submodel.format_tables(ctx, plan, model.log))
+        print(submodel.format_tables(rf.ctx(), plan, model.log))
     return _report(args, model)
 
 
@@ -147,7 +144,7 @@ def cmd_finite(args) -> int:
 
 
 def cmd_check(args) -> int:
-    rf, _, assignment = _lookup(args.file, args.assign, "assignments")
+    rf, assignment = _lookup(args.file, args.assign, "assignments")
     try:
         violations = diagram.check_assignment(rf.ctx(), assignment)
     except diagram.DiagramError as exc:

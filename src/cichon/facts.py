@@ -12,7 +12,8 @@ the Polish characterizations of those atoms, the ideal-versus-covering
 comparisons, and the fact that every Polish system lies Tukey-above the
 meager covering system.
 
-`close` runs the structural rules to a least fixpoint:
+`close` interns at most 2*(S + r + c) expressions (see `close`), so it
+needs no size guard.  It runs the structural rules to a least fixpoint:
 
 * transitivity and contravariant dualization,
 * products lie above their factors,
@@ -60,10 +61,6 @@ from .systems import (CIdeal, Card, CoverSys, ExprError, Ideal, IdealSys, Ord,
 
 
 class FactError(Exception):
-    pass
-
-
-class DivergentUniverse(FactError):
     pass
 
 
@@ -288,10 +285,7 @@ def cideal_mono(ctx: CardContext, small: CIdeal, large: CIdeal) -> bool:
 # closure
 # ---------------------------------------------------------------------------
 
-DEFAULT_UNIVERSE_LIMIT = 4000
-
-
-def close(db: FactDB, universe_limit: int = DEFAULT_UNIVERSE_LIMIT) -> FactDB:
+def close(db: FactDB) -> FactDB:
     """Least fixpoint of the structural rules; every new fact gets provenance.
 
     Incremental worklist evaluation: each fact is processed exactly once, in
@@ -301,6 +295,11 @@ def close(db: FactDB, universe_limit: int = DEFAULT_UNIVERSE_LIMIT) -> FactDB:
     loop runs only when the rows say it adds a fact.  Duplicates are only
     skipped earlier: the facts, their order and their provenance are those
     of a plain worklist that offers every candidate to `FactDB.add`.
+
+    Only four steps make an expression: a dual, ``Card(mu)`` for a declared
+    regular mu, ``I[x<t]`` for a ``C[x<t]``, and an ordinal's cofinality (a
+    regular ``Card``).  So it interns at most 2*(S + r + c) expressions: S
+    subexpressions before closing, r regular names, c C-ideals among the S.
     """
     from collections import deque
 
@@ -363,8 +362,6 @@ def close(db: FactDB, universe_limit: int = DEFAULT_UNIVERSE_LIMIT) -> FactDB:
             if k in seen:
                 continue
             seen.add(k)
-            if len(seen) > universe_limit:
-                raise DivergentUniverse(f"expression universe exceeds {universe_limit}")
             for rule, kind, conclude, note in EXPR_RULES:
                 if isinstance(e, kind):
                     for lhs, rhs in conclude(ctx, e):

@@ -29,7 +29,7 @@ from itertools import combinations, count
 TOP = math.inf
 
 NODE_BUDGET = 100_000                # nodes one exact search may expand before it refuses
-DEFAULT_SIZE_LIMIT = 1_000_000       # cells in a product system
+PRODUCT_CELL_LIMIT = 1_000_000       # cells a product system may have
 
 
 class FiniteError(Exception):
@@ -194,11 +194,11 @@ def dual(R: FinSys) -> FinSys:
     return FinSys(R.y_size, R.x_size, tuple(full_x & ~c for c in R.cones()))
 
 
-def product(R: FinSys, R2: FinSys, size_limit: int = DEFAULT_SIZE_LIMIT) -> FinSys:
+def product(R: FinSys, R2: FinSys) -> FinSys:
     """Componentwise-conjunction product on X×X', Y×Y'."""
     xs, ys = R.x_size * R2.x_size, R.y_size * R2.y_size
-    if xs * ys > size_limit:
-        raise SizeLimit(f"product has {xs * ys} cells (limit {size_limit})")
+    if xs * ys > PRODUCT_CELL_LIMIT:
+        raise SizeLimit(f"product has {xs * ys} cells (limit {PRODUCT_CELL_LIMIT})")
     rows = []
     for x1 in range(R.x_size):
         for x2 in range(R2.x_size):

@@ -352,20 +352,11 @@ def validate(ctx: CardContext, r: Recipe) -> list[str]:
     return run_rules(ctx, r)[0]
 
 
-def run_recipe(ctx: CardContext, r: Recipe,
-               order: Optional[Sequence[int]] = None) -> DerivedModel:
-    """Apply every applicable rule, close, and evaluate the constellation.
-
-    `order` optionally permutes the rule applications (the closed fact set
-    is the same for any order; tests exercise this confluence).
-    """
+def run_recipe(ctx: CardContext, r: Recipe) -> DerivedModel:
+    """Apply every applicable rule, close, and evaluate the constellation."""
     failures, done = run_rules(ctx, r)
     if failures:
         raise MissingAssumption("; ".join(failures))
-    if order is not None:
-        if sorted(order) != list(range(len(done))):
-            raise ForgeError("order must permute the application list")
-        done = [done[i] for i in order]
     db = base_facts(ctx, ctx.card(ctx.ordinal(r.length)))
     db.meta["recipe"] = r
     for _, conclusions, params in done:

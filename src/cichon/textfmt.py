@@ -40,17 +40,19 @@ checked as soon as it has parsed, each at its own statement's line, so a
 syntax error in a block wins over an undeclared name in it.  A chain's
 `succ(x)` is resolved when the chain is read.
 
-Any other block is given once per kind and name, and a single-valued
-statement (`length`, `cc`, `base`, `cards`, a slot's `bookkeeping`, an
-assigned entry) once per block: a repeat is a ParseError, never an
-override; so is a repeated plan step (a second `final`, or a second
-`chain d 4`).  A plan's steps come in `submodel.STEP_ORDER`; any other
-order, or a missing chain, is a ParseError at the plan's header.  An
-axiom block is named after one of the construction models in
-`forge.AXIOMS` and lists as many cardinals as its entry's arity.
+Any other block is given once per kind and name, and a name names one
+recipe, axiom or plan; a single-valued statement (`length`, `cc`, `base`,
+`cards`, a slot's `bookkeeping`, an assigned entry) once per block: a
+repeat is a ParseError, never an override; so is a repeated plan step (a
+second `final`, or a second `chain d 4`).  A plan's steps come in
+`submodel.STEP_ORDER`; any other order, or a missing chain, is a
+ParseError at the plan's header.  An axiom block is named after one of
+the construction models in `forge.AXIOMS` and lists as many cardinals as
+its entry's arity.
 
 `parse` produces a RecipeFile whose rendering parses back to an equal
-value (round-trip stability is part of the test suite).
+value (round-trip stability is part of the test suite) and keeps the
+CardContext it built; `derive(rf, name)` runs the model NAME on it.
 """
 
 from __future__ import annotations
@@ -60,10 +62,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import forge, submodel
 from .cards import ALEPH0, ALEPH1, CONTINUUM, CardContext, CardError
 from .diagram import ENTRIES
-from .forge import AXIOMS, ForgeError, Recipe, Slot, iterand
-from .submodel import STEP_ORDER, ChainSpec, Plan
+from .forge import AXIOMS, DerivedModel, ForgeError, Recipe, Slot, iterand
 from .systems import ATOM_ALIASES, PRS_ATOMS
 
 
@@ -86,9 +88,18 @@ class RecipeFile:
     axioms: dict = field(default_factory=dict)    # model name -> its cardinals
     plans: dict = field(default_factory=dict)
     assignments: dict = field(default_factory=dict)
+    _ctx: Optional[CardContext] = field(default=None, compare=False, repr=False)
 
     def ctx(self) -> CardContext:
-        return CardContext(self.context)
+        """The context `parse` built (for a file made by hand, built once here)."""
+        if self._ctx is None:
+            self._ctx = CardContext(self.context)
+        return self._ctx
+
+    def kind_of(self, name: str) -> Optional[str]:
+        """'recipe', 'axiom' or 'plan': the table holding the model NAME, if any."""
+        tables = {"recipe": self.recipes, "axiom": self.axioms, "plan": self.plans}
+        return next((kind for kind, table in tables.items() if name in table), None)
 
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -292,7 +303,7 @@ _BASE = re.compile(r"base\s+gksmax\(\s*([A-Za-z0-9_,\s]+)\)$")
 _FINAL = re.compile(r"final\s*\(\s*([A-Za-z0-9_]+)\s*\)$")
 
 
-def _parse_plan(name, header, body, ctx, uses) -> Plan:
+def _parse_plan(name, header, body, ctx, uses) -> submodel.Plan:
     base = None
     steps = []
     final_width = None
@@ -320,7 +331,7 @@ def _parse_plan(name, header, body, ctx, uses) -> Plan:
                 if closure is None:
                     raise UnresolvedName(f"succ({succ_of}) is not declared", line)
             uses += [(length, line), (closure, line), (width, line)]
-            steps.append(ChainSpec(kind, int(idx), length, closure, width))
+            steps.append(submodel.ChainSpec(kind, int(idx), length, closure, width))
         elif stmt.startswith("final"):
             m = _FINAL.match(stmt)
             if not m:
@@ -328,15 +339,15 @@ def _parse_plan(name, header, body, ctx, uses) -> Plan:
             _first(final_width, "final", line)
             final_width = m.group(1)
             uses.append((final_width, line))
-            steps.append(ChainSpec("final", None, None, ALEPH1, final_width))
+            steps.append(submodel.ChainSpec("final", None, None, ALEPH1, final_width))
         else:
             raise ParseError(f"unknown plan statement {stmt!r}", line)
     if base is None or final_width is None:
         raise ParseError(f"plan {name} needs a base and a final step", header)
-    if tuple((s.kind, s.index) for s in steps) != STEP_ORDER:
-        order = ", ".join(f"chain {k} {i}" if i else k for k, i in STEP_ORDER)
+    if tuple((s.kind, s.index) for s in steps) != submodel.STEP_ORDER:
+        order = ", ".join(f"chain {k} {i}" if i else k for k, i in submodel.STEP_ORDER)
         raise ParseError(f"plan {name} needs its steps in the order {order}", header)
-    return Plan(name, base=base, steps=tuple(steps), final_width=final_width)
+    return submodel.Plan(name, base=base, steps=tuple(steps), final_width=final_width)
 
 
 def _parse_assign(body, uses) -> dict:
@@ -374,6 +385,8 @@ def parse(text: str) -> RecipeFile:
             continue
         if name in tables[kind]:
             raise ParseError(f"duplicate {kind} block {name}", header)
+        if kind != "assign" and rf.kind_of(name):
+            raise ParseError(f"{kind} {name} reuses the name of {rf.kind_of(name)} {name}", header)
         uses = []  # (cardinal, statement line) for each name the block reads
         if kind == "recipe":
             tables[kind][name] = _parse_recipe(name, header, body, uses)
@@ -386,6 +399,18 @@ def parse(text: str) -> RecipeFile:
         for tok, line in uses:
             _need(declared, tok, line)  # the names of ctx
     return rf
+
+
+def derive(rf: RecipeFile, name: str) -> DerivedModel:
+    """Derive the recipe, axiom model or plan NAME on the file's context."""
+    kind = rf.kind_of(name)
+    if kind == "recipe":
+        return forge.run_recipe(rf.ctx(), rf.recipes[name])
+    if kind == "axiom":
+        return forge.axiom_model(rf.ctx(), name, rf.axioms[name])
+    if kind == "plan":
+        return submodel.run_plan(rf.ctx(), rf.plans[name])
+    raise KeyError(f"no recipe, axiom or plan named {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@
 `reference_close` is the closure as it was written before it moved to
 interned ids and bitmask rows: every candidate goes to `FactDB.add`, which
 drops the duplicates.  The fast closure must give the same `db.facts`,
-every field of every fact in the same order, and raise `DivergentUniverse`
-at the same limits, leaving the same facts behind.
+every field of every fact in the same order, and stay inside the bound
+`close` states: `closure_universe` builds the set of expressions closing
+may intern from the database before closing, independently of `close`.
 
 `scan_value_bounds` is `diagram.value_bounds` as it was written before it
 read the database's by-lhs/by-rhs lists: one scan of every fact per atom."""
@@ -14,19 +15,20 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
 
 from cichon import facts, forge, submodel
 from cichon.builtins import BUILTINS, builtin
 from cichon.cards import ALEPH0, ALEPH1, ContextBuilder
 from cichon.diagram import (DiagramError, InconsistentBounds, Interval, _extreme,
                             intrinsic_bounds, value_bounds)
-from cichon.facts import (DEFAULT_UNIVERSE_LIMIT, EXPR_RULES, DivergentUniverse,
-                          FactDB, base_facts, cideal_mono, close)
+from cichon.facts import EXPR_RULES, FactDB, base_facts, cideal_mono, close
 from cichon.systems import (CIdeal, Card, CoverSys, Dual, Ideal, IdealSys, Ord, Prod,
                             Prs, R3, dual, render, subexpressions)
+from test_forge import _recipes
 
 
-def reference_close(db: FactDB, universe_limit: int = DEFAULT_UNIVERSE_LIMIT) -> FactDB:
+def reference_close(db: FactDB) -> FactDB:
     ctx = db.ctx
     by_lhs = {}
     by_rhs = {}
@@ -71,8 +73,6 @@ def reference_close(db: FactDB, universe_limit: int = DEFAULT_UNIVERSE_LIMIT) ->
             if e in seen_exprs:
                 continue
             seen_exprs.add(e)
-            if len(seen_exprs) > universe_limit:
-                raise DivergentUniverse(f"expression universe exceeds {universe_limit}")
             for rule, kind, conclude, note in EXPR_RULES:
                 if isinstance(e, kind):
                     for lhs, rhs in conclude(ctx, e):
@@ -97,51 +97,65 @@ def clone(db: FactDB) -> FactDB:
     return out
 
 
-def run(closer, db, limit):
-    """(raised DivergentUniverse, facts, closed flag) of closing a copy."""
-    db = clone(db)
-    try:
-        closer(db, limit)
-    except DivergentUniverse:
-        return True, db.facts, db.closed
-    return False, db.facts, db.closed
+def closure_universe(db: FactDB) -> tuple[set, int]:
+    """The expressions closing DB may intern, and the bound 2*(S + r + c)
+    on their number: S subexpressions before closing, r regular names, c
+    C-ideals among the S.  Built from the four steps that make a new
+    expression, not from `close`."""
+    ctx = db.ctx
+    start = db.universe()
+    regular = [mu for mu in ctx.names if ctx.is_regular(mu)]
+    cideals = [e for e in start if isinstance(e, CIdeal)]
+    allowed = (start | {Card(mu) for mu in regular}
+               | {Ideal(e.index, e.theta) for e in cideals}
+               | {Card(ctx.cf(e.factors)) for e in start if isinstance(e, Ord)})
+    allowed |= {dual(e) for e in allowed}
+    return allowed, 2 * (len(start) + len(regular) + len(cideals))
 
 
-def assert_same(db: FactDB, limit: int = DEFAULT_UNIVERSE_LIMIT):
-    want = run(reference_close, db, limit)
-    got = run(close, db, limit)
-    assert got[0] == want[0], f"DivergentUniverse at limit {limit}: {got[0]} vs {want[0]}"
-    assert got[1] == want[1]  # every field of every fact, in order
-    assert got[2] == want[2]
-    return want
+def assert_within_bound(db: FactDB):
+    allowed, bound = closure_universe(db)
+    close(db)
+    assert sorted(map(render, set(db.exprs) - allowed)) == []
+    assert len(db.exprs) <= bound
 
 
-def pre_close(name: str) -> FactDB:
-    """The database a builtin hands to `close`, caught at the call."""
+def assert_same(db: FactDB) -> list:
+    """The facts of closing a copy, the same under both closures; the
+    fast one stays inside the bound `close` states."""
+    want, got = clone(db), clone(db)
+    reference_close(want)
+    assert_within_bound(got)
+    assert got.facts == want.facts  # every field of every fact, in order
+    assert got.closed and want.closed
+    return want.facts
+
+
+def caught_close(derive) -> FactDB:
+    """The database DERIVE() hands to `close`, caught at the call."""
     caught = []
 
-    def catch(db, *args, **kwargs):
+    def catch(db):
         caught.append(clone(db))
-        return close(db, *args, **kwargs)
+        return close(db)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(forge, "close", catch)
         mp.setattr(submodel, "close", catch)
-        builtin(name).derive()
+        derive()
     (db,) = caught
     return db
 
 
-def universe_size(db: FactDB) -> int:
-    return len(close(clone(db)).universe())
+def pre_close(name: str) -> FactDB:
+    """The database a builtin hands to `close`."""
+    return caught_close(builtin(name).derive)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_builtins_match_reference(name):
     db = pre_close(name)
-    raised, facts, _ = assert_same(db)
-    assert not raised and len(facts) > len(db.facts)
-    assert assert_same(db, universe_size(db) - 1)[0]
+    assert len(assert_same(db)) > len(db.facts)
 
 
 def chain_db(n: int) -> FactDB:
@@ -163,13 +177,8 @@ def chain_db(n: int) -> FactDB:
 @pytest.mark.parametrize("n", (10, 20, 40))
 def test_chain_matches_reference(n):
     db = chain_db(n)
-    raised, facts, _ = assert_same(db)
-    assert not raised
-    rules = {f.rule for f in facts}
+    rules = {f.rule for f in assert_same(db)}
     assert {"rule:card-embed", "rule:cideal-mono", "rule:ideal-collapse"} <= rules
-    universe = universe_size(db)
-    for limit in (universe - 1, universe // 2, 3):
-        assert assert_same(db, limit)[0]
 
 
 def random_db(rng: random.Random) -> FactDB:
@@ -222,18 +231,23 @@ def random_db(rng: random.Random) -> FactDB:
 def test_random_databases_match_reference():
     rng = random.Random(5)
     rules: dict[str, int] = {}
-    diverged = 0
     for _ in range(220):
-        db = random_db(rng)
-        limit = rng.randint(3, 30) if rng.random() < 0.3 else DEFAULT_UNIVERSE_LIMIT
-        raised, facts, _ = assert_same(db, limit)
-        diverged += raised
-        for f in facts:
+        for f in assert_same(random_db(rng)):
             rules[f.rule] = rules.get(f.rule, 0) + 1
     for rule in ("rule:prod-proj", "rule:cideal-mono", "rule:card-embed",
                  "rule:ideal-collapse", "rule:ord-cofinality", "rule:trans", "rule:dual"):
         assert rules.get(rule, 0) >= 5, (rule, rules)
-    assert diverged >= 10, diverged
+
+
+@settings(max_examples=100, deadline=None)
+@given(_recipes())
+def test_random_recipes_match_reference(case):
+    ctx, r = case
+    try:
+        db = caught_close(lambda: forge.run_recipe(ctx, r))
+    except forge.MissingAssumption:
+        return
+    assert_same(db)
 
 
 def test_close_adds_each_fact_with_one_call(monkeypatch):
@@ -361,8 +375,5 @@ def test_random_index_matches_scan():
     for _ in range(220):
         db = random_db(rng)
         assert_index_matches_scan(db)
-        try:
-            close(db)
-        except DivergentUniverse:
-            pass
+        close(db)
         assert_index_matches_scan(db)

@@ -5,9 +5,8 @@ from hypothesis import HealthCheck, given, reject, settings
 
 from cichon.builtins import BUILTINS
 from cichon.cards import ALEPH1, ContextBuilder
-from cichon.facts import (DivergentUniverse, FactDB, ReplayError, base_facts,
-                          check_trace, cideal_mono, close, parse_trace,
-                          seed_facts, verify)
+from cichon.facts import (FactDB, ReplayError, base_facts, check_trace,
+                          cideal_mono, close, parse_trace, seed_facts, verify)
 from cichon.forge import MissingAssumption, run_recipe
 from cichon.systems import (CIdeal, Card, CoverSys, Ideal, Ord, Prod, R1,
                             R2, R3, R4, dual, render)
@@ -152,11 +151,6 @@ def test_replay_rejects_tampering():
             break
     with pytest.raises(ReplayError):
         verify(db)
-
-
-def test_divergent_universe_guard():
-    with pytest.raises(DivergentUniverse):
-        close(base_facts(lam_ctx(), "lam"), universe_limit=3)
 
 
 def test_trace_lines_check():

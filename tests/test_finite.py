@@ -97,9 +97,11 @@ def test_product_neutral_factor():
     assert fwd is not None and back is not None
 
 
-def test_product_size_limit():
-    with pytest.raises(SizeLimit):
-        product(identity_system(8), identity_system(8), size_limit=100)
+def test_product_size_limit(monkeypatch):
+    assert product(identity_system(8), identity_system(8)).x_size == 64
+    monkeypatch.setattr("cichon.finite.PRODUCT_CELL_LIMIT", 100)
+    with pytest.raises(SizeLimit, match=r"product has 4096 cells \(limit 100\)"):
+        product(identity_system(8), identity_system(8))
 
 
 @given(systems(max_x=3, max_y=3), systems(max_x=3, max_y=3))

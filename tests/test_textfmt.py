@@ -2,9 +2,10 @@ import os
 
 import pytest
 
-from cichon.builtins import BUILTINS, builtin
+from cichon.builtins import BUILTINS, builtin, file_defining
+from cichon.cards import CardContext
 from cichon.textfmt import (MODELS, ParseError, RecipeFile, UnresolvedName,
-                            builtin_file, parse, render_file)
+                            builtin_file, derive, parse, render_file)
 
 
 def test_round_trip_all_builtins():
@@ -132,20 +133,68 @@ def test_recipe_without_length():
         parse("context { card lam regular; }\nrecipe r { cc aleph1; }\n")
 
 
-@pytest.mark.parametrize("kind", ["recipe", "plan", "assign"])
+@pytest.mark.parametrize("kind", ["recipe", "plan", "assign", "model"])
 def test_second_block_of_one_kind_and_name_is_rejected(kind):
+    """'model': a recipe block named like the file's plan.  In one file a
+    name names one recipe, axiom model or plan."""
     rf = builtin_file("mod1" if kind == "recipe" else "cichon_max")
     text = render_file(rf, rf.ctx())
-    name = {"recipe": "mod1", "plan": "cichon_max", "assign": "cichon_max_bottom"}[kind]
-    start = text.index(f"{kind} {name} {{")
-    block = text[start:text.index("}", start) + 2]
-    if kind == "plan":  # the first block's succ(th4m) must not reach this one
-        block = block.replace("(lam4d, succ(th4m), th4)", "(lam4d, th3, th4)")
+    if kind == "model":
+        kind, name, block = "recipe", "cichon_max", "recipe cichon_max {\n  length lam4d;\n}\n"
+        want = "recipe cichon_max reuses the name of plan cichon_max"
+    else:
+        name = {"recipe": "mod1", "plan": "cichon_max", "assign": "cichon_max_bottom"}[kind]
+        start = text.index(f"{kind} {name} {{")
+        block = text[start:text.index("}", start) + 2]
+        if kind == "plan":  # the first block's succ(th4m) must not reach this one
+            block = block.replace("(lam4d, succ(th4m), th4)", "(lam4d, th3, th4)")
+        want = f"duplicate {kind} block {name}"
     with pytest.raises(ParseError) as err:
         parse(text + block)
     assert f"line {text.count(chr(10)) + 1}:" in str(err.value)
-    assert f"duplicate {kind} block {name}" in str(err.value)
+    assert want in str(err.value)
     assert parse(text + block.replace(f"{kind} {name} ", f"{kind} other ")) is not None
+
+
+def test_builtin_record_reads_its_file():
+    """The fields of a builtin that the benchmark reads are its file's:
+    `kind` names the one model table holding it, and the entry is that
+    table's."""
+    for name, b in BUILTINS.items():
+        rf = file_defining(name)
+        tables = {"recipe": rf.recipes, "axiom": rf.axioms, "plan": rf.plans}
+        assert [kind for kind, table in tables.items() if name in table] == [b.kind], name
+        entries = {"recipe": b.recipe, "axiom": b.axiom_cards, "plan": b.plan}
+        assert entries == {kind: table.get(name) for kind, table in tables.items()}, name
+        assert b.context == rf.context and b.ctx() is rf.ctx(), name
+        assert rf == builtin_file(name), name
+
+
+def test_derive_refuses_a_name_no_model_has():
+    rf = builtin_file("cichon_max")
+    for name in ("cichon_max_bottom", "nothing"):  # an assignment is no model
+        with pytest.raises(KeyError, match=name):
+            derive(rf, name)
+
+
+def test_a_file_builds_its_context_once(monkeypatch):
+    """`parse` builds the context, and every derive of the file, or of a
+    builtin, runs on the one its file keeps."""
+    text = render_file(builtin_file("mod1"))
+    built = []
+    real = CardContext.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(CardContext, "__init__", counting)
+    rf = parse(text)
+    assert len(built) == 1
+    derive(rf, "mod1")
+    for name in ("mod1", "gksmax", "cichon_max"):
+        builtin(name).derive()
+    assert len(built) == 1 and rf.ctx() is rf.ctx()
 
 
 def test_context_blocks_still_concatenate():
