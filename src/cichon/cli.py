@@ -50,6 +50,8 @@ def _lookup(file, name: str, *tables: str):
     and NAME's entry in the first of the RecipeFile tables that has it."""
     if file:
         rf = _read(file, textfmt.parse, (textfmt.ParseError, textfmt.UnresolvedName))
+    elif name in textfmt.BUILTIN_NAMES:  # parse the one file named after it
+        rf, file = textfmt.builtin_file(name), f"builtin {name}"
     else:
         from . import builtins  # parses every shipped model file
         try:

@@ -45,14 +45,14 @@ loop over a rendered trace, which carries no ``meta``; `_replay` alone
 decides that such a trace's source facts are only checked to be well
 formed.  Every other check reads only the facts, so it re-derives from the
 trace alone: the structural rules here and the preEUB cardinal embeddings
-of `forge`.  `FactDB.trace_lines` and `parse_trace` render and parse a trace
-once per distinct expression, through a table that lives for one call.
+of `forge`.  `FactDB.trace_lines` renders each side through the text its
+expression keeps (see `systems`), and `parse_trace` parses each distinct
+side text once per call.  A fact is an immutable tuple, `TukeyFact`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .cards import ALEPH1, CONTINUUM, CardContext, CardError
 from .systems import (CIdeal, Card, CoverSys, ExprError, Ideal, IdealSys, Ord,
@@ -68,8 +68,7 @@ class ReplayError(FactError):
     pass
 
 
-@dataclass(frozen=True)
-class TukeyFact:
+class TukeyFact(NamedTuple):
     lhs: SysExpr
     rhs: SysExpr
     rule: str
@@ -171,15 +170,10 @@ class FactDB:
         return out
 
     def trace_lines(self) -> list[str]:
-        """One line per fact, the format `parse_trace` reads; each distinct
-        expression object is rendered once per call."""
-        shown: dict[int, str] = {}  # by id(expr): safe, self.facts keeps each side alive
+        """One line per fact, the format `parse_trace` reads."""
         lines = []
         for fid, f in enumerate(self.facts):
-            lhs, rhs = f.lhs, f.rhs
-            a = shown.get(id(lhs)) or shown.setdefault(id(lhs), render(lhs))
-            c = shown.get(id(rhs)) or shown.setdefault(id(rhs), render(rhs))
-            prem = ",".join(map(str, f.premises))
+            a, c, prem = render(f.lhs), render(f.rhs), ",".join(map(str, f.premises))
             lines.append(f'{fid}: {a} <= {c}  [{f.rule}; {prem}; "{f.note}"]')
         return lines
 
@@ -532,12 +526,12 @@ def parse_trace(lines) -> list[TukeyFact]:
         m = _TRACE_LINE.match(line)
         if m is None:
             raise ReplayError(f"trace line {k + 1} is malformed: {line!r}")
-        fid = int(m.group(1))
-        if fid != len(out):
-            raise ReplayError(f"trace line {k + 1}: expected id {len(out)}, got {fid}")
-        prem = tuple(int(t) for t in m.group(5).replace(" ", "").split(",") if t)
+        fid, lhs, rhs, rule, prem, note = m.groups()
+        if int(fid) != len(out):
+            raise ReplayError(f"trace line {k + 1}: expected id {len(out)}, got {int(fid)}")
+        premises = tuple(map(int, filter(None, prem.replace(" ", "").split(","))))
         sides = []
-        for text in m.group(2, 3):
+        for text in (lhs, rhs):
             e = parsed.get(text)
             if e is None:
                 try:
@@ -545,7 +539,7 @@ def parse_trace(lines) -> list[TukeyFact]:
                 except ExprError as exc:
                     raise ReplayError(f"trace line {k + 1}: {exc}") from exc
             sides.append(e)
-        out.append(TukeyFact(sides[0], sides[1], m.group(4), prem, (), m.group(6)))
+        out.append(TukeyFact(sides[0], sides[1], rule, premises, (), note))
     return out
 
 

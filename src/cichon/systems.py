@@ -13,15 +13,16 @@ The expression language covers exactly the shapes the derivations use:
   lengths, finite products, and duals.
 
 Duals normalize (dual of dual cancels) and a one-factor ordinal product
-normalizes to the cardinal itself, so expression equality is syntactic
-equality after construction.
+normalizes to the cardinal itself, so two expressions are equal exactly
+when they are built from the same fields.  Each is built once: there is
+one object per expression (see `SysExpr`), so equality is identity.  Each
+object keeps its rendering, made when it is built, and its dual, found on
+the first call of `dual`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Union
 
 from .cards import CardContext
 
@@ -34,84 +35,128 @@ class ExprError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Prs:
+_TABLE: dict[tuple, SysExpr] = {}  # (class, *fields) -> the one object with them
+_store = object.__setattr__          # how a class writes its own slots, each once
+
+
+class SysExpr:
+    """The base of the nine expression classes: one object per expression.
+
+    Construction looks ``(class, *fields)`` up in `_TABLE` and returns the
+    object it finds there, so equal expressions are the same object, and
+    equality and hashing are those of ``object``: identity.  Only on a miss
+    does a class check its fields (`_check`) and render the object once
+    (`_show`); a refused construction stores nothing.  Fields cannot be
+    assigned; `dual` fills its slot once, on the first call.
+    """
+
+    __slots__ = ("_dual", "_text")
+    _fields: tuple[str, ...] = ()
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        e = _TABLE.get(key)
+        if e is None:
+            if len(fields) != len(cls._fields):
+                raise TypeError(f"{cls.__name__} takes the fields {cls._fields}")
+            cls._check(*fields)
+            text = cls._show(*fields)
+            e = object.__new__(cls)
+            for name, value in zip(cls._fields + ("_dual", "_text"), fields + (None, text)):
+                _store(e, name, value)
+            _TABLE[key] = e
+        return e
+
+    @staticmethod
+    def _check(*fields):
+        """Raise ExprError on fields that make no expression of the class."""
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # pickle and copy give back the one object
+        return type(self), tuple(getattr(self, n) for n in self._fields)
+
+
+def _check_ideal(ideal):
+    if ideal not in ("M", "N"):
+        raise ExprError(f"unknown ideal {ideal!r}")
+
+
+class Prs(SysExpr):
     """One of the four Polish relational systems of the diagram."""
 
-    atom: str
+    __slots__ = _fields = ("atom",)
+    _show = "{}".format
 
-    def __post_init__(self):
-        if self.atom not in PRS_ATOMS:
-            raise ExprError(f"unknown Prs atom {self.atom!r}")
+    @staticmethod
+    def _check(atom):
+        if atom not in PRS_ATOMS:
+            raise ExprError(f"unknown Prs atom {atom!r}")
 
 
-@dataclass(frozen=True)
-class IdealSys:
+class IdealSys(SysExpr):
     """The meager or null sigma-ideal ordered by inclusion."""
 
-    ideal: str  # 'M' or 'N'
-
-    def __post_init__(self):
-        if self.ideal not in ("M", "N"):
-            raise ExprError(f"unknown ideal {self.ideal!r}")
+    __slots__ = _fields = ("ideal",)  # 'M' or 'N'
+    _check, _show = staticmethod(_check_ideal), "idl({})".format
 
 
-@dataclass(frozen=True)
-class CoverSys:
+class CoverSys(SysExpr):
     """The covering system <X, I, in> of the meager or null ideal."""
 
-    ideal: str
-
-    def __post_init__(self):
-        if self.ideal not in ("M", "N"):
-            raise ExprError(f"unknown ideal {self.ideal!r}")
+    __slots__ = _fields = ("ideal",)
+    _check, _show = staticmethod(_check_ideal), "cov({})".format
 
 
-@dataclass(frozen=True)
-class CIdeal:
+class CIdeal(SysExpr):
     """C_{[X]^{<theta}} with |X| = index: the small-subset covering system."""
 
-    index: str
-    theta: str
+    __slots__ = _fields = ("index", "theta")
+    _show = "C[{}<{}]".format
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(SysExpr):
     """[X]^{<theta} with |X| = index, ordered by inclusion."""
 
-    index: str
-    theta: str
+    __slots__ = _fields = ("index", "theta")
+    _show = "I[{}<{}]".format
 
 
-@dataclass(frozen=True)
-class Card:
+class Card(SysExpr):
     """A regular cardinal viewed as a linear order."""
 
-    name: str
+    __slots__ = _fields = ("name",)
+    _show = "{}".format
 
 
-@dataclass(frozen=True)
-class Ord:
+class Ord(SysExpr):
     """An ordinal product iteration length as a linear order."""
 
-    factors: tuple[str, ...]
+    __slots__ = _fields = ("factors",)  # tuple[str, ...]
+    _show = staticmethod(lambda factors: "ord(" + "*".join(factors) + ")")
 
 
-@dataclass(frozen=True)
-class Prod:
-    parts: tuple["SysExpr", ...]
+class Prod(SysExpr):
+    __slots__ = _fields = ("parts",)  # tuple[SysExpr, ...]
+    _show = staticmethod(lambda parts: "prod(" + ",".join(map(render, parts)) + ")")
 
-    def __post_init__(self):
-        if len(self.parts) < 2:
+    @staticmethod
+    def _check(parts):
+        if len(parts) < 2:
             raise ExprError("product needs at least two parts")
 
 
-@dataclass(frozen=True)
-class Dual:
-    arg: "SysExpr"
+class Dual(SysExpr):
+    __slots__ = _fields = ("arg",)
+    _show = staticmethod(lambda arg: f"dual({render(arg)})")
 
-
-SysExpr = Union[Prs, IdealSys, CoverSys, CIdeal, Ideal, Card, Ord, Prod, Dual]
 
 R1 = Prs("Lc")
 R2 = Prs("Cn")
@@ -124,10 +169,13 @@ def prs(token: str) -> Prs:
 
 
 def dual(e: SysExpr) -> SysExpr:
-    """Normalizing dual constructor: dual(dual(e)) is e."""
-    if isinstance(e, Dual):
-        return e.arg
-    return Dual(e)
+    """Normalizing dual constructor: dual(dual(e)) is e.  Kept on the
+    object, so each is looked up once."""
+    d = e._dual
+    if d is None:
+        d = e.arg if type(e) is Dual else Dual(e)
+        _store(e, "_dual", d)
+    return d
 
 
 def ord_expr(factors: tuple[str, ...]) -> SysExpr:
@@ -178,26 +226,9 @@ def subexpressions(e: SysExpr):
 
 
 def render(e: SysExpr) -> str:
-    """Compact parseable rendering used in traces, tables and DOT labels."""
-    if isinstance(e, Prs):
-        return e.atom
-    if isinstance(e, IdealSys):
-        return f"idl({e.ideal})"
-    if isinstance(e, CoverSys):
-        return f"cov({e.ideal})"
-    if isinstance(e, CIdeal):
-        return f"C[{e.index}<{e.theta}]"
-    if isinstance(e, Ideal):
-        return f"I[{e.index}<{e.theta}]"
-    if isinstance(e, Card):
-        return e.name
-    if isinstance(e, Ord):
-        return "ord(" + "*".join(e.factors) + ")"
-    if isinstance(e, Prod):
-        return "prod(" + ",".join(render(p) for p in e.parts) + ")"
-    if isinstance(e, Dual):
-        return f"dual({render(e.arg)})"
-    raise ExprError(f"cannot render {e!r}")
+    """Compact parseable rendering used in traces, tables and DOT labels,
+    kept on the object since it was built."""
+    return e._text
 
 
 class _Unparsed(Exception):

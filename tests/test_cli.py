@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from cichon.builtins import builtin
+from cichon.cards import CardContext
 from cichon.cli import main
 from cichon.facts import check_trace
 from cichon.finite import FinSys, d_num_brute, format_finsys, ideal_systems
@@ -267,8 +268,9 @@ def test_repeated_plan_step_exits_2(tmp_path, capsys, step, label):
 
 
 def test_only_builtin_lookups_parse_the_model_files(tmp_path):
-    """A fresh interpreter: importing the CLI, deriving from a file and the
-    finite oracle leave cichon.builtins unimported; a builtin name loads it."""
+    """A fresh interpreter: importing the CLI, deriving from a file, the
+    finite oracle and a builtin model's name leave cichon.builtins
+    unimported; the name of an assignment loads it."""
     rf = builtin_file("mod1")
     (tmp_path / "mod1.rcp").write_text(render_file(rf, rf.ctx()))
     (tmp_path / "id2.sys").write_text("2 2\n10\n01\n")
@@ -280,12 +282,28 @@ def test_only_builtin_lookups_parse_the_model_files(tmp_path):
         assert main(["finite", "d", "id2.sys"]) == 0
         assert "cichon.builtins" not in sys.modules
         assert main(["derive", "--recipe", "cohen"]) == 0
+        assert "cichon.builtins" not in sys.modules
+        assert main(["check", "--assign", "cichon_max_bottom"]) == 0
         assert "cichon.builtins" in sys.modules
     """
     env = dict(os.environ, PYTHONPATH=SRC)
     p = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path, env=env,
                        capture_output=True, text=True, timeout=120)
     assert p.returncode == 0, p.stderr
+
+
+@pytest.mark.parametrize("argv", [["derive", "--recipe", "cohen"],
+                                  ["intersect", "--plan", "cichon_max"]])
+def test_a_builtin_model_builds_one_context(monkeypatch, capsys, argv):
+    """A builtin model's name parses the one shipped file named after it."""
+    builds, init = [], CardContext.__init__
+
+    def counted(self, declarations):
+        builds.append(declarations)
+        init(self, declarations)
+    monkeypatch.setattr(CardContext, "__init__", counted)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and len(builds) == 1
 
 
 def test_finite_zero_size_header_exits_2(tmp_path, capsys):

@@ -164,7 +164,7 @@ def test_trace_lines_check():
         check_trace(db.ctx, lines)
 
 
-# -- the per-call tables of trace_lines and parse_trace ----------------------
+# -- the kept renderings of trace_lines and the per-call table of parse_trace -
 
 def _rendered(db):
     """The trace, rendered fact by fact with `systems.render`."""
@@ -184,6 +184,13 @@ def _check_trace_tables(db):
         for e in (f.lhs, f.rhs):
             assert first.setdefault(render(e), e) is e
     assert len(first) < 2 * len(parsed)
+
+
+def test_parse_trace_reads_premise_lists():
+    """Spaces and empty items between the commas are skipped."""
+    lines = [f'{k}: Lc <= Cn  [seed:diagram; {prem}; "n"]'
+             for k, prem in enumerate(("1, 2", "1,,2", "", " 3 "))]
+    assert [f.premises for f in parse_trace(lines)] == [(1, 2), (1, 2), (), (3,)]
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))

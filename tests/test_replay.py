@@ -36,7 +36,7 @@ def prod_db():
 
 
 def replace_fact(db, fid, **changes):
-    db.facts[fid] = dataclasses.replace(db.facts[fid], **changes)
+    db.facts[fid] = db.facts[fid]._replace(**changes)
 
 
 # -- premise counts ----------------------------------------------------------
@@ -273,6 +273,22 @@ def test_a_fresh_replay_resolves_every_builtin_rule():
     env = dict(os.environ, PYTHONPATH=src)
     p = subprocess.run([sys.executable, "-S", "-c", code, _nonesuch(first[-1])], env=env,
                        input=json.dumps(traces), capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+
+
+def test_facts_loads_no_dataclasses():
+    """A fresh interpreter: the fact layer and its expressions are built
+    without `dataclasses`."""
+    code = """if True:
+        import sys
+        import cichon.facts
+        loaded = sorted(m for m in sys.modules if m.startswith("cichon"))
+        assert loaded == ["cichon", "cichon.cards", "cichon.facts", "cichon.systems"], loaded
+        assert "dataclasses" not in sys.modules
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(forge.__file__)))
+    p = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                       capture_output=True, text=True, timeout=120)
     assert p.returncode == 0, p.stderr
 
 

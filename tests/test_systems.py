@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 import sys
 
@@ -5,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cichon import systems
 from cichon.cards import ALEPH1, ContextBuilder
+from cichon.facts import TukeyFact
 from cichon.systems import (ATOM_ALIASES, PRS_ATOMS, CIdeal, Card, CoverSys,
                             Dual, ExprError, Ideal, IdealSys, Ord, Prod, Prs,
                             R1, R2, R3, R4, SysExpr, dual, ord_expr,
@@ -70,6 +74,69 @@ def test_parse_expr_errors():
     for bad in ("", "prod(lam)", "C[lam5 lam1]", "dual(", "idl(X)", "lam5)"):
         with pytest.raises(ExprError):
             parse_expr(bad)
+
+
+# ---------------------------------------------------------------------------
+# one object per expression
+# ---------------------------------------------------------------------------
+
+# (class, fields, the dataclass-style repr the classes had before)
+ONE_OF_EACH = [
+    (Prs, ("Lc",), "Prs(atom='Lc')"),
+    (IdealSys, ("M",), "IdealSys(ideal='M')"),
+    (CoverSys, ("N",), "CoverSys(ideal='N')"),
+    (CIdeal, ("lam5", "lam1"), "CIdeal(index='lam5', theta='lam1')"),
+    (Ideal, ("lam5", "lam1"), "Ideal(index='lam5', theta='lam1')"),
+    (Card, ("lam4",), "Card(name='lam4')"),
+    (Ord, (("lam5", "lam4"),), "Ord(factors=('lam5', 'lam4'))"),
+    (Prod, ((Card("lam5"), dual(R3)),),
+     "Prod(parts=(Card(name='lam5'), Dual(arg=Prs(atom='ww'))))"),
+    (Dual, (CIdeal("lam5", ALEPH1),), "Dual(arg=CIdeal(index='lam5', theta='aleph1'))"),
+]
+
+
+def _fresh(v):
+    """An equal value built anew: other str and tuple objects."""
+    if isinstance(v, str):
+        return "".join(list(v))
+    return tuple(map(_fresh, v)) if isinstance(v, tuple) else v
+
+
+@pytest.mark.parametrize("cls,fields,text", ONE_OF_EACH, ids=[c.__name__ for c, *_ in ONE_OF_EACH])
+def test_one_object_per_expression(cls, fields, text):
+    e = cls(*fields)
+    assert cls(*_fresh(fields)) is e
+    assert parse_expr(render(e)) is e
+    assert dual(dual(e)) is e
+    assert pickle.loads(pickle.dumps(e)) is e
+    assert copy.deepcopy(e) is e and copy.copy(e) is e
+    assert repr(e) == text
+    with pytest.raises(AttributeError):
+        setattr(e, cls.__slots__[0], fields[0])
+    assert getattr(e, cls.__slots__[0]) == fields[0]
+
+
+@pytest.mark.parametrize("make", [lambda: Prs("X"), lambda: Prod((R1,)),
+                                  lambda: IdealSys("Q"), lambda: CoverSys("")],
+                         ids=["prs", "prod", "ideal", "cover"])
+def test_a_refused_expression_leaves_no_object(make):
+    size = len(systems._TABLE)
+    with pytest.raises(ExprError):
+        make()
+    assert len(systems._TABLE) == size
+
+
+def test_tukey_fact_is_an_immutable_tuple():
+    f = TukeyFact(dual(R3), Prod((Card("lam5"), dual(CIdeal("lam5", ALEPH1)))), "rule:trans",
+                  (3, 7), ("ww",), "Tukey connections compose")
+    assert repr(f) == (
+        "TukeyFact(lhs=Dual(arg=Prs(atom='ww')), rhs=Prod(parts=(Card(name='lam5'), "
+        "Dual(arg=CIdeal(index='lam5', theta='aleph1')))), rule='rule:trans', "
+        "premises=(3, 7), params=('ww',), note='Tukey connections compose')")
+    assert f.key() == (f.lhs, f.rhs)
+    assert TukeyFact(R1, R2, "seed:diagram") == (R1, R2, "seed:diagram", (), (), "")
+    with pytest.raises(AttributeError):
+        f.rule = "rule:dual"
 
 
 # ---------------------------------------------------------------------------
