@@ -5,8 +5,9 @@ that reproduces one of the standard constellations: the five warm-up
 iterations, the four many-values theorems, the three construction-heavy
 left-side models, and the Cichon's-maximum plan with its bottom-row
 assignment.  The files are written in the text format of `textfmt`, the
-same one users write, and `BUILTINS` is filled from them at import.
-`Builtin.derive` runs any of them through `textfmt.derive`.
+same one users write, and `BUILTINS` is filled from them at import; only
+`textfmt` maps a name to its file.  `Builtin.derive` runs any of them
+through `textfmt.derive`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional
 
 from . import submodel
 from .forge import DerivedModel, Recipe
-from .textfmt import BUILTIN_NAMES, RecipeFile, builtin_file, derive
+from .textfmt import RecipeFile, builtin_file, builtin_index, derive
 # not called here: perfbench/tracing.py wraps these three names in this module
 from .forge import CardContext, axiom_model, run_recipe  # noqa: F401
 
@@ -39,23 +40,13 @@ class Builtin:
         return derive(self.file, self.name)
 
 
-_FILES = {name: builtin_file(name) for name in BUILTIN_NAMES}
 BUILTINS = {name: Builtin(name, rf.kind_of(name), rf, rf.context, rf.recipes.get(name),
                           rf.axioms.get(name), rf.plans.get(name))
-            for name, rf in _FILES.items()}
-# every name a shipped file defines (its model and its assignments) -> the file
-_DEFINED_IN = {n: rf for name, rf in _FILES.items() for n in (name, *rf.assignments)}
-FIG16_BOTTOM = dict(_FILES["cichon_max"].assignments["cichon_max_bottom"])
+            for name in sorted(set(builtin_index().values())) for rf in (builtin_file(name),)}
+FIG16_BOTTOM = dict(BUILTINS["cichon_max"].file.assignments["cichon_max_bottom"])
 
 
 def builtin(name: str) -> Builtin:
     if name not in BUILTINS:
         raise KeyError(f"no builtin named {name!r}; have {sorted(BUILTINS)}")
     return BUILTINS[name]
-
-
-def file_defining(name: str) -> RecipeFile:
-    """The parsed shipped model file that defines NAME, a model or an assignment."""
-    if name not in _DEFINED_IN:
-        raise KeyError(f"no builtin named {name!r}; have {sorted(_DEFINED_IN)}")
-    return _DEFINED_IN[name]

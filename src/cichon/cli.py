@@ -6,9 +6,8 @@
     cichon check     [FILE] --assign NAME
 
 NAME is looked up in FILE or, without FILE, in the shipped model file
-that defines it (src/cichon/models/: cohen random evdiff hechler loc mod1
-mod2 mod3 mod5 gksmax kst bcm cichon_max, and cichon_max's assignment
-cichon_max_bottom).  `derive` runs a recipe or an axiom model.
+under src/cichon/models/ that defines it (`textfmt.builtin_file`).
+`derive` runs a recipe or an axiom model.
 
 Exit codes: 0 success, 1 derivation failures, constraint violations or
 no connection found, 2 malformed input or a finite instance past the
@@ -50,12 +49,9 @@ def _lookup(file, name: str, *tables: str):
     and NAME's entry in the first of the RecipeFile tables that has it."""
     if file:
         rf = _read(file, textfmt.parse, (textfmt.ParseError, textfmt.UnresolvedName))
-    elif name in textfmt.BUILTIN_NAMES:  # parse the one file named after it
-        rf, file = textfmt.builtin_file(name), f"builtin {name}"
     else:
-        from . import builtins  # parses every shipped model file
         try:
-            rf, file = builtins.file_defining(name), f"builtin {name}"
+            rf, file = textfmt.builtin_file(name), f"builtin {name}"
         except KeyError as exc:
             raise CliInputError(exc.args[0]) from None
     for table in tables:

@@ -1,6 +1,6 @@
 """The one text format every model is stated in: context, recipe, axiom,
-plan and assign blocks.  Users write it, and the builtins are shipped in it
-(`models/NAME.rcp`, read by `builtin_file`).
+plan and assign blocks.  Users write it; the builtins ship in it, and this
+module alone maps a shipped name to its file (`builtin_file`).
 
 Line-oriented and whitespace-insensitive within blocks; `#` starts a
 comment.  Shape:
@@ -57,9 +57,11 @@ CardContext it built; `derive(rf, name)` runs the model NAME on it.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Optional
 
 from . import forge, submodel
@@ -417,7 +419,8 @@ def derive(rf: RecipeFile, name: str) -> DerivedModel:
 # rendering
 # ---------------------------------------------------------------------------
 
-def render_file(rf: RecipeFile, ctx: Optional[CardContext] = None) -> str:
+def render_file(rf: RecipeFile) -> str:
+    """The file's canonical text; only a plan reads the file's context."""
     out = ["context {"]
     for decl in rf.context:
         if decl[0] == "card":
@@ -446,19 +449,15 @@ def render_file(rf: RecipeFile, ctx: Optional[CardContext] = None) -> str:
     for name, cards in rf.axioms.items():
         out += [f"axiom {name} {{", f"  cards {', '.join(cards)};", "}"]
     for name, p in rf.plans.items():
+        ctx = rf.ctx()
         out.append(f"plan {name} {{")
         out.append(f"  base gksmax({','.join(p.base)});")
         for s in p.steps:
             if s.kind == "final":
                 out.append(f"  final ({s.width});")
-            else:
-                closure = s.closure
-                if ctx is not None:
-                    # re-sugar declared successor closures on the d-chains
-                    for a in ctx.names:
-                        if ctx.succ_of(a) == closure and s.kind == "d":
-                            closure = f"succ({a})"
-                            break
+            else:  # a d-chain closure declared as succ(x) prints so
+                closure = next((f"succ({a})" for a in ctx.names
+                                if s.kind == "d" and ctx.succ_of(a) == s.closure), s.closure)
                 out.append(f"  chain {s.kind} {s.index} ({s.length}, {closure}, {s.width});")
         out.append("}")
     for name, a in rf.assignments.items():
@@ -471,13 +470,26 @@ def render_file(rf: RecipeFile, ctx: Optional[CardContext] = None) -> str:
 
 
 MODELS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "models")
-BUILTIN_NAMES = tuple(sorted(f[:-len(".rcp")] for f in os.listdir(MODELS) if f.endswith(".rcp")))
+
+
+@functools.cache
+def builtin_index() -> MappingProxyType:
+    """Each name a shipped file defines (its model, named like the file, and
+    its assignments) -> the file's stem; read from block headers, once."""
+    index = {}
+    for f in sorted(os.listdir(MODELS)):
+        if f.endswith(".rcp"):
+            with open(os.path.join(MODELS, f), encoding="utf-8") as fh:
+                index.update((name, f[:-len(".rcp")])
+                             for kind, name, _, _ in _blocks(fh.read()) if kind != "context")
+    return MappingProxyType(index)
 
 
 def builtin_file(name: str) -> RecipeFile:
-    """The shipped model file `models/NAME.rcp`, parsed.  NAME is matched
-    against the shipped names, never joined into a path unchecked."""
-    if name not in BUILTIN_NAMES:
-        raise KeyError(f"no builtin named {name!r}; have {list(BUILTIN_NAMES)}")
-    with open(os.path.join(MODELS, f"{name}.rcp")) as fh:
+    """The shipped file defining the model or assignment NAME, parsed.
+    NAME is matched against the shipped names, never joined into a path."""
+    index = builtin_index()
+    if name not in index:
+        raise KeyError(f"no builtin named {name!r}; have {sorted(index)}")
+    with open(os.path.join(MODELS, f"{index[name]}.rcp"), encoding="utf-8") as fh:
         return parse(fh.read())

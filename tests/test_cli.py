@@ -33,7 +33,7 @@ def test_derive_builtin_cohen(capsys):
 def test_derive_from_file(tmp_path, capsys):
     path = tmp_path / "mod1.rcp"
     rf = builtin_file("mod1")
-    path.write_text(render_file(rf, rf.ctx()))
+    path.write_text(render_file(rf))
     code, out, _ = run(capsys, "derive", str(path), "--recipe", "mod1")
     assert code == 0 and "cof(N)  lam5" in out
 
@@ -61,7 +61,7 @@ def test_derive_dot_and_json(tmp_path, capsys):
 
 def test_contradicting_successor_exits_2(tmp_path, capsys):
     rf = builtin_file("mod1")
-    text = render_file(rf, rf.ctx())
+    text = render_file(rf)
     for decl, msg in (("assume succ(lam1)=lam2; assume succ(lam1)=lam3;",
                        "succ(lam1) is declared as both lam2 and lam3"),
                       ("assume succ(lam1)=lam3;", "lam2 lies strictly between lam1")):
@@ -73,7 +73,7 @@ def test_contradicting_successor_exits_2(tmp_path, capsys):
 
 def test_derive_missing_assumption_exits_1(tmp_path, capsys):
     rf = builtin_file("mod1")
-    text = render_file(rf, rf.ctx()).replace("  assume pow_lt(lam5,lam3)=lam5;\n", "")
+    text = render_file(rf).replace("  assume pow_lt(lam5,lam3)=lam5;\n", "")
     path = tmp_path / "broken.rcp"
     path.write_text(text)
     code, _, err = run(capsys, "derive", str(path), "--recipe", "mod1")
@@ -106,7 +106,7 @@ def test_intersect_builtin(capsys):
 
 def test_intersect_malformed_plan_exits_nonzero(tmp_path, capsys):
     rf = builtin_file("cichon_max")
-    text = render_file(rf, rf.ctx())
+    text = render_file(rf)
     text = text.replace("chain d 4 (lam4d, succ(th4m), th4);",
                         "chain d 4 (lam4d, succ(th4m), th3);")
     path = tmp_path / "bad_plan.rcp"
@@ -178,7 +178,7 @@ def test_check_builtin_assignment(capsys):
 
 def test_check_violations_exit_1(tmp_path, capsys):
     rf = builtin_file("cichon_max")
-    text = render_file(rf, rf.ctx()).replace("covN = lam2b;", "covN = lam1d;")
+    text = render_file(rf).replace("covN = lam2b;", "covN = lam1d;")
     path = tmp_path / "bad_assign.rcp"
     path.write_text(text)
     code, out, _ = run(capsys, "check", str(path), "--assign", "cichon_max_bottom")
@@ -247,7 +247,7 @@ def test_builtin_of_the_wrong_kind_exits_2(capsys, argv, msg):
 def test_repeated_statement_exits_2(tmp_path, capsys):
     rf = builtin_file("mod1")
     path = tmp_path / "twice.rcp"
-    path.write_text(render_file(rf, rf.ctx()).replace("  cc aleph1;\n", "  length lam5;\n"))
+    path.write_text(render_file(rf).replace("  cc aleph1;\n", "  length lam5;\n"))
     code, out, err = run(capsys, "derive", str(path), "--recipe", "mod1")
     assert code == 2 and out == "" and "line 16: length given twice" in err
 
@@ -258,7 +258,7 @@ def test_repeated_statement_exits_2(tmp_path, capsys):
 ], ids=["final", "chain"])
 def test_repeated_plan_step_exits_2(tmp_path, capsys, step, label):
     rf = builtin_file("cichon_max")
-    text = render_file(rf, rf.ctx())
+    text = render_file(rf)
     at = text.index(step) + len(step)
     path = tmp_path / "twice.rcp"
     path.write_text(text[:at] + step + text[at:])
@@ -269,10 +269,10 @@ def test_repeated_plan_step_exits_2(tmp_path, capsys, step, label):
 
 def test_only_builtin_lookups_parse_the_model_files(tmp_path):
     """A fresh interpreter: importing the CLI, deriving from a file, the
-    finite oracle and a builtin model's name leave cichon.builtins
-    unimported; the name of an assignment loads it."""
+    finite oracle, and the name of a builtin model or of a shipped
+    assignment all leave cichon.builtins unimported."""
     rf = builtin_file("mod1")
-    (tmp_path / "mod1.rcp").write_text(render_file(rf, rf.ctx()))
+    (tmp_path / "mod1.rcp").write_text(render_file(rf))
     (tmp_path / "id2.sys").write_text("2 2\n10\n01\n")
     code = """if True:
         import sys
@@ -284,7 +284,7 @@ def test_only_builtin_lookups_parse_the_model_files(tmp_path):
         assert main(["derive", "--recipe", "cohen"]) == 0
         assert "cichon.builtins" not in sys.modules
         assert main(["check", "--assign", "cichon_max_bottom"]) == 0
-        assert "cichon.builtins" in sys.modules
+        assert "cichon.builtins" not in sys.modules
     """
     env = dict(os.environ, PYTHONPATH=SRC)
     p = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path, env=env,
@@ -293,9 +293,11 @@ def test_only_builtin_lookups_parse_the_model_files(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["derive", "--recipe", "cohen"],
-                                  ["intersect", "--plan", "cichon_max"]])
+                                  ["intersect", "--plan", "cichon_max"],
+                                  ["check", "--assign", "cichon_max_bottom"]])
 def test_a_builtin_model_builds_one_context(monkeypatch, capsys, argv):
-    """A builtin model's name parses the one shipped file named after it."""
+    """A builtin model's or assignment's name parses the one shipped file
+    that defines it."""
     builds, init = [], CardContext.__init__
 
     def counted(self, declarations):
@@ -347,7 +349,7 @@ def test_finite_wrong_file_count_exits_2(tmp_path, capsys, op, files):
 @pytest.mark.parametrize("edit", ["swap", "drop"])
 def test_intersect_plan_out_of_order_exits_2(tmp_path, capsys, edit):
     rf = builtin_file("cichon_max")
-    text = render_file(rf, rf.ctx())
+    text = render_file(rf)
     d4, b4 = "  chain d 4 (lam4d, succ(th4m), th4);\n", "  chain b 4 (lam4b, th4m, th4m);\n"
     text = text.replace(d4 + b4, b4 + d4 if edit == "swap" else d4)
     path = tmp_path / "order.rcp"

@@ -1,0 +1,60 @@
+"""Layering guard: `cichon.builtins` fills its table from every shipped
+model file at import, so no other module of the package may import it.
+`textfmt.builtin_file` is the one map from a shipped name to its file."""
+
+import ast
+import glob
+import os
+
+import cichon
+
+PACKAGE = os.path.dirname(os.path.abspath(cichon.__file__))
+
+
+def _imports_builtins(node) -> bool:
+    """Whether NODE is an import, in a module of cichon, that loads cichon.builtins."""
+    if isinstance(node, ast.Import):
+        return any(a.name == "cichon.builtins" or a.name.startswith("cichon.builtins.")
+                   for a in node.names)
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    if node.level:  # relative to the package, which has no subpackages
+        base = ".".join(["cichon"] + [m for m in [node.module] if m])
+    else:
+        base = node.module or ""
+    return (base == "cichon.builtins" or base.startswith("cichon.builtins.")
+            or (base == "cichon" and any(a.name == "builtins" for a in node.names)))
+
+
+def offenders(paths) -> list[str]:
+    out = []
+    for path in paths:
+        if os.path.basename(path) == "builtins.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        out += [f"{os.path.basename(path)}:{node.lineno}" for node in ast.walk(tree)
+                if _imports_builtins(node)]
+    return out
+
+
+def test_only_builtins_imports_builtins():
+    paths = sorted(glob.glob(os.path.join(PACKAGE, "*.py")))
+    assert len(paths) > 5
+    assert offenders(paths) == []
+
+
+def test_the_guard_sees_every_spelling(tmp_path):
+    spellings = ["from . import builtins", "from . import cards, builtins as b",
+                 "from .builtins import BUILTINS", "import cichon.builtins",
+                 "import cichon.builtins as cb", "from cichon import builtins",
+                 "from cichon.builtins import builtin",
+                 "def f():\n    from . import builtins"]
+    for i, text in enumerate(spellings):
+        (tmp_path / f"m{i}.py").write_text(text + "\n")
+    (tmp_path / "ok.py").write_text("import builtins\nfrom . import cards\n"
+                                    "from .textfmt import builtin_file\n")
+    (tmp_path / "builtins.py").write_text("from . import builtins\n")
+    found = offenders(sorted(tmp_path.glob("*.py")))
+    assert sorted(found) == sorted(f"m{i}.py:{1 + t.count(chr(10))}"
+                                   for i, t in enumerate(spellings))

@@ -2,17 +2,17 @@ import os
 
 import pytest
 
-from cichon.builtins import BUILTINS, builtin, file_defining
+from cichon.builtins import BUILTINS, builtin
 from cichon.cards import CardContext
 from cichon.textfmt import (MODELS, ParseError, RecipeFile, UnresolvedName,
-                            builtin_file, derive, parse, render_file)
+                            builtin_file, builtin_index, derive, parse, render_file)
 
 
 def test_round_trip_all_builtins():
     assert len(BUILTINS) == 13
     for name in BUILTINS:
         rf = builtin_file(name)
-        text = render_file(rf, rf.ctx())
+        text = render_file(rf)
         assert parse(text) == rf, name
         with open(os.path.join(MODELS, f"{name}.rcp")) as fh:
             assert fh.read() == text, name  # the checked-in file is canonical
@@ -94,7 +94,7 @@ def test_unresolved_name_with_location():
 
 def test_plan_block_round_trip():
     rf = builtin_file("cichon_max")
-    text = render_file(rf, rf.ctx())
+    text = render_file(rf)
     assert "chain d 4 (lam4d, succ(th4m), th4);" in text
     rf2 = parse(text)
     assert rf2.plans["cichon_max"] == rf.plans["cichon_max"]
@@ -112,7 +112,7 @@ def test_plan_missing_chain_errors():
 @pytest.mark.parametrize("edit", ["swap", "drop"])
 def test_plan_steps_out_of_order_fail_at_the_header(edit):
     rf = builtin_file("cichon_max")
-    text = render_file(rf, rf.ctx())
+    text = render_file(rf)
     d4, b4 = "  chain d 4 (lam4d, succ(th4m), th4);\n", "  chain b 4 (lam4b, th4m, th4m);\n"
     assert d4 + b4 in text
     text = text.replace(d4 + b4, b4 + d4 if edit == "swap" else d4)
@@ -138,7 +138,7 @@ def test_second_block_of_one_kind_and_name_is_rejected(kind):
     """'model': a recipe block named like the file's plan.  In one file a
     name names one recipe, axiom model or plan."""
     rf = builtin_file("mod1" if kind == "recipe" else "cichon_max")
-    text = render_file(rf, rf.ctx())
+    text = render_file(rf)
     if kind == "model":
         kind, name, block = "recipe", "cichon_max", "recipe cichon_max {\n  length lam4d;\n}\n"
         want = "recipe cichon_max reuses the name of plan cichon_max"
@@ -161,13 +161,58 @@ def test_builtin_record_reads_its_file():
     `kind` names the one model table holding it, and the entry is that
     table's."""
     for name, b in BUILTINS.items():
-        rf = file_defining(name)
+        rf = builtin_file(name)
         tables = {"recipe": rf.recipes, "axiom": rf.axioms, "plan": rf.plans}
         assert [kind for kind, table in tables.items() if name in table] == [b.kind], name
         entries = {"recipe": b.recipe, "axiom": b.axiom_cards, "plan": b.plan}
         assert entries == {kind: table.get(name) for kind, table in tables.items()}, name
-        assert b.context == rf.context and b.ctx() is rf.ctx(), name
-        assert rf == builtin_file(name), name
+        assert b.file == rf and b.context == rf.context and b.ctx() is b.file.ctx(), name
+
+
+def test_no_name_is_defined_by_two_shipped_files():
+    """Each shipped file, parsed in full, defines its own model and its
+    assignments; no other file defines any of them, and the index maps
+    each to its file."""
+    defined = {}
+    for f in sorted(f for f in os.listdir(MODELS) if f.endswith(".rcp")):
+        with open(os.path.join(MODELS, f)) as fh:
+            rf = parse(fh.read())
+        names = [n for table in (rf.recipes, rf.axioms, rf.plans, rf.assignments) for n in table]
+        assert f[:-len(".rcp")] in names, f
+        for n in names:
+            assert n not in defined, f"{n} in {defined.get(n)} and {f}"
+            defined[n] = f[:-len(".rcp")]
+    assert builtin_index() == defined
+    assert len(defined) == 14 and defined["cichon_max_bottom"] == "cichon_max"
+    assert {n: stem for n, stem in defined.items() if n in BUILTINS} == {n: n for n in BUILTINS}
+    assert builtin_file("cichon_max_bottom") == builtin_file("cichon_max")
+
+
+def test_a_plan_renders_its_successor_closures_from_its_own_context():
+    """A file made by hand, with a plan and no kept context, re-sugars the
+    d-chain closure from the context it builds, and parses back equal."""
+    shipped = builtin_file("cichon_max")
+    rf = RecipeFile(shipped.context, plans=dict(shipped.plans))
+    text = render_file(rf)
+    assert "  chain d 4 (lam4d, succ(th4m), th4);\n" in text
+    assert "  chain b 4 (lam4b, th4m, th4m);\n" in text
+    assert parse(text) == rf
+
+
+def test_a_file_without_a_plan_renders_without_a_context(monkeypatch):
+    """Files made by hand, holding a recipe, an axiom model or an
+    assignment, render without building a context."""
+    mod1, gksmax, cmax = (builtin_file(n) for n in ("mod1", "gksmax", "cichon_max"))
+    files = [RecipeFile(mod1.context, recipes=dict(mod1.recipes)),
+             RecipeFile(gksmax.context, axioms=dict(gksmax.axioms)),
+             RecipeFile(cmax.context, assignments=dict(cmax.assignments))]
+    built = []
+    monkeypatch.setattr(CardContext, "__init__", lambda self, *a, **k: built.append(a))
+    texts = [render_file(rf) for rf in files]
+    assert built == []
+    monkeypatch.undo()
+    assert texts[:2] == [render_file(mod1), render_file(gksmax)]
+    assert parse(texts[2]).assignments == cmax.assignments
 
 
 def test_derive_refuses_a_name_no_model_has():
@@ -249,7 +294,7 @@ def test_repeated_single_valued_statement_is_rejected(name, old, new):
     """A second statement that would override the first is an error naming
     its own line, never a silent override."""
     rf = builtin_file(name)
-    text = render_file(rf, rf.ctx()).replace(old, new, 1)
+    text = render_file(rf).replace(old, new, 1)
     second = text.index(new) + len(new)
     with pytest.raises(ParseError) as err:
         parse(text)
