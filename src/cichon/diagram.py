@@ -162,10 +162,7 @@ def value_bounds(db: FactDB, e: SysExpr) -> tuple[Interval, Interval]:
     if not db.closed:
         raise DiagramError("value_bounds on atoms needs a closed database")
 
-    b_lo, b_hi, d_lo, d_hi = [ALEPH1], [], [ALEPH1], []
-    if db.forced_c is not None:
-        b_hi.append(db.forced_c)
-        d_hi.append(db.forced_c)
+    b_lo, b_hi, d_lo, d_hi = [ALEPH1], [db.c_name], [ALEPH1], [db.c_name]
     k = db.ids.get(e)
     for j in db.by_lhs[k] if k is not None else ():
         val = intrinsic_bounds(ctx, db.facts[j].rhs)
@@ -213,7 +210,7 @@ def constellation(db: FactDB) -> Constellation:
     if not db.closed:
         raise DiagramError("constellation needs a closed database")
     ctx = db.ctx
-    out: Constellation = {k: Interval(ALEPH1, db.forced_c) for k in ENTRIES}
+    out: Constellation = {k: Interval(ALEPH1, db.c_name) for k in ENTRIES}
     out["c"] = Interval(db.c_name, db.c_name)
     for atom, b_entry, d_entry in _ATOM_ENTRIES:
         b, d = value_bounds(db, atom)

@@ -32,29 +32,32 @@ fact is dropped by one bit test, before any expression is hashed, and only
 new facts reach `FactDB.add`, the only way a fact enters the database.
 `diagram.value_bounds` reads the same by-side lists.
 
-Each rule is defined once, in the `REPLAY` table: its premise count and
-one check that re-derives the fact.  The per-expression rules and the
-monotonicity test are functions that `close` and the replay both call.
-The seed, recipe, axiom and plan rules, whose hypotheses live in a source
-held in ``db.meta``, are registered through `replays_source`: their check
-re-runs the source once per database and looks the fact up in the result.
-`forge` and `submodel` register theirs when imported, and `_replay` imports
-them first, so no replay depends on what its caller happened to import.
-`verify` runs the table over a live database.  `check_trace` runs the same
-loop over a rendered trace, which carries no ``meta``; `_replay` alone
-decides that such a trace's source facts are only checked to be well
-formed.  Every other check reads only the facts, so it re-derives from the
-trace alone: the structural rules here and the preEUB cardinal embeddings
-of `forge`.  `FactDB.trace_lines` renders each side through the text its
-expression keeps (see `systems`), and `parse_trace` parses each distinct
-side text once per call.  A fact is an immutable tuple, `TukeyFact`.
+Each rule is defined once, in three tables.  `REPLAY` maps a rule to its
+premise count and the one check that re-derives the fact from the
+context and the facts.  The per-expression rules and the monotonicity
+test are functions that `close` and the replay both call.  The seed,
+recipe, axiom and plan rules, whose hypotheses live in a source, are
+registered through `replays_source`: `SOURCE` names a rule's source and
+`RERUN` how to re-run it.  `forge` and `submodel` register theirs when
+imported, and `_replay` imports them first, so no replay depends on what
+its caller happened to import.  `_replay(ctx, facts, sources)` is the one
+loop.  `verify` runs it over a live database and the sources in
+``db.meta``: each source re-runs once per replay, and a source fact is
+looked up in the result.  `check_trace` runs it over the facts of a
+rendered trace, which carries no sources, so its source facts are only
+checked to be well formed.  Every other check reads only the facts, so
+it re-derives from the trace alone: the structural rules here and the
+preEUB cardinal embeddings of `forge`.  `FactDB.trace_lines` renders each
+side through the text its expression keeps (see `systems`), and
+`parse_trace` parses each distinct side text once per call.  A fact is an
+immutable tuple, `TukeyFact`.
 """
 
 from __future__ import annotations
 
 from typing import Callable, NamedTuple, Optional
 
-from .cards import ALEPH1, CONTINUUM, CardContext, CardError
+from .cards import ALEPH1, CardContext, CardError
 from .systems import (CIdeal, Card, CoverSys, ExprError, Ideal, IdealSys, Ord,
                       Prod, R1, R2, R3, R4, SysExpr, dual, parse_expr, render,
                       subexpressions, validate_expr)
@@ -88,18 +91,17 @@ class FactDB:
     Per expression id it keeps an out-row and an in-row, ``int`` bitmasks of
     the ids it has facts to and from, and the ids of the facts with it as
     lhs and as rhs, in id order; per fact id, the ids of its two sides.
-    `add` is the only way a fact enters a live database: it drops a
-    duplicate by one bit test, and `has`, `id_of` and `pairs` read the same
-    rows.  A parsed trace assigns ``facts`` directly and is never indexed.
+    `add` is the only way a fact enters the database: it drops a duplicate
+    by one bit test, and `has`, `id_of` and `pairs` read the same rows.
+    ``c_name`` names the continuum, which must be >= aleph1.
     """
 
-    def __init__(self, ctx: CardContext, forced_c: Optional[str] = None):
-        if forced_c is not None:
-            ctx.check(forced_c)
-            if ctx.leq(ALEPH1, forced_c) is not True:
-                raise FactError(f"forced continuum {forced_c} must be >= aleph1")
+    def __init__(self, ctx: CardContext, c_name: str):
+        ctx.check(c_name)
+        if ctx.leq(ALEPH1, c_name) is not True:
+            raise FactError(f"forced continuum {c_name} must be >= aleph1")
         self.ctx = ctx
-        self.forced_c = forced_c
+        self.c_name = c_name
         self.facts: list[TukeyFact] = []
         self.ids: dict[SysExpr, int] = {}
         self.exprs: list[SysExpr] = []
@@ -111,13 +113,8 @@ class FactDB:
         self.rhs_of: list[int] = []
         self.closed = False
         # the sources the facts re-run from, by name: the continuum the seeds
-        # follow, and the recipe, axiom model or plan; None for a parsed trace
-        self.meta: Optional[dict] = {"seed": self.c_name}
-        self._reran: dict[str, tuple] = {}  # source -> (object, its re-run)
-
-    @property
-    def c_name(self) -> str:
-        return self.forced_c if self.forced_c is not None else CONTINUUM
+        # follow, and the recipe, axiom model or plan
+        self.meta: dict = {"seed": c_name}
 
     def intern(self, e: SysExpr) -> int:
         """The id of e, validating and indexing it when first seen."""
@@ -220,9 +217,9 @@ def seed_facts(ctx: CardContext, cn: str) -> list[tuple]:
     return out
 
 
-def base_facts(ctx: CardContext, forced_c: Optional[str] = None) -> FactDB:
-    db = FactDB(ctx, forced_c)
-    for lhs, rhs, rule, params, note in seed_facts(ctx, db.c_name):
+def base_facts(ctx: CardContext, c_name: str) -> FactDB:
+    db = FactDB(ctx, c_name)
+    for lhs, rhs, rule, params, note in seed_facts(ctx, c_name):
         db.add(lhs, rhs, rule, params=params, note=note)
     return db
 
@@ -377,21 +374,17 @@ def close(db: FactDB) -> FactDB:
 # ---------------------------------------------------------------------------
 # replay
 # ---------------------------------------------------------------------------
-#
-# REPLAY maps each rule to the one check that re-derives its conclusion,
-# `fn(db, fid, fact)`.  `replays` also records on fn how many premises the
-# rule cites; a check registered by hand without one has its premise count
-# left unchecked.  `replays_source` records the source the check re-runs.
 
-ReplayFn = Callable[[FactDB, int, TukeyFact], None]
-REPLAY: dict[str, ReplayFn] = {}
+Check = Callable[[CardContext, list, int, TukeyFact], None]  # (ctx, facts, fid, fact)
+REPLAY: dict[str, tuple[int, Optional[Check]]] = {}  # rule -> (premises, check or None)
+SOURCE: dict[str, str] = {}                    # rule whose check is None -> its source
+RERUN: dict[str, tuple[Callable, tuple]] = {}  # source -> (rerun, errors that fail a fact)
 
 
 def replays(*rules: str, premises: int = 0):
-    def deco(fn: ReplayFn):
-        fn.premises = premises
+    def deco(fn: Check):
         for rule in rules:
-            REPLAY[rule] = fn
+            REPLAY[rule] = (premises, fn)
         return fn
     return deco
 
@@ -406,25 +399,14 @@ def _mentions(fact: TukeyFact, e: SysExpr) -> bool:
 
 
 def replays_source(source: str, *rules: str, rerun: Callable, errors: tuple = ()):
-    """Registers the check of `rules`, whose facts come from the object
-    ``db.meta[source]``: the fact and its params must be among the
-    (lhs, rhs, rule, params, note) tuples ``rerun(ctx, object)`` returns.
-    It re-runs once per database and object, so replacing the object
-    invalidates the result; an error of a type in `errors` fails the fact."""
-    def check(db, fid, fact):
-        obj = db.meta.get(source)
-        _expect(obj is not None, fid, fact, f"database carries no {source}")
-        ran, expected = db._reran.get(source, (None, None))
-        if ran is not obj:
-            try:
-                expected = {c[:4] for c in rerun(db.ctx, obj)}
-            except errors as exc:
-                _expect(False, fid, fact, f"re-running the {source} fails: {exc}")
-            db._reran[source] = (obj, expected)
-        _expect((fact.lhs, fact.rhs, fact.rule, tuple(fact.params)) in expected, fid, fact,
-                f"re-running the {source} does not reproduce it")
-    check.source = source
-    replays(*rules)(check)
+    """Registers `rules` as coming from the source ``sources[source]``: a
+    fact and its params must be among the (lhs, rhs, rule, params, note)
+    tuples ``rerun(ctx, object)`` returns, and an error of a type in
+    `errors` fails the fact."""
+    RERUN[source] = (rerun, errors)
+    for rule in rules:
+        REPLAY[rule] = (0, None)
+        SOURCE[rule] = source
 
 
 replays_source("seed", "seed:diagram", "seed:prs-equiv", "seed:ideal-cover",
@@ -432,26 +414,26 @@ replays_source("seed", "seed:diagram", "seed:prs-equiv", "seed:ideal-cover",
 
 
 @replays("rule:dual", premises=1)
-def _replay_dual(db, fid, fact):
-    p = db.facts[fact.premises[0]]
+def _replay_dual(ctx, facts, fid, fact):
+    p = facts[fact.premises[0]]
     _expect(fact.lhs == dual(p.rhs) and fact.rhs == dual(p.lhs), fid, fact,
             "dualized premise does not match")
 
 
 @replays("rule:trans", premises=2)
-def _replay_trans(db, fid, fact):
+def _replay_trans(ctx, facts, fid, fact):
     i, j = fact.premises
-    p, q = db.facts[i], db.facts[j]
+    p, q = facts[i], facts[j]
     _expect(p.rhs == q.lhs and fact.lhs == p.lhs and fact.rhs == q.rhs, fid, fact,
             "composition does not match premises")
 
 
-def _expr_rule_check(kind: type, conclude) -> ReplayFn:
-    def check(db, fid, fact):
+def _expr_rule_check(kind: type, conclude) -> Check:
+    def check(ctx, facts, fid, fact):
         sides = [e for e in fact.key()
-                 if isinstance(e, kind) and fact.key() in conclude(db.ctx, e)]
+                 if isinstance(e, kind) and fact.key() in conclude(ctx, e)]
         _expect(bool(sides), fid, fact, "the rule does not conclude it")
-        _expect(any(_mentions(db.facts[fact.premises[0]], e) for e in sides), fid, fact,
+        _expect(any(_mentions(facts[fact.premises[0]], e) for e in sides), fid, fact,
                 f"witness premise does not mention the {kind.__name__} side")
     return check
 
@@ -461,46 +443,61 @@ for _rule, _kind, _conclude, _ in EXPR_RULES:
 
 
 @replays("rule:cideal-mono", premises=2)
-def _replay_cideal_mono(db, fid, fact):
+def _replay_cideal_mono(ctx, facts, fid, fact):
     small, large = fact.key()
     _expect(isinstance(small, CIdeal) and isinstance(large, CIdeal)
-            and cideal_mono(db.ctx, small, large), fid, fact,
+            and cideal_mono(ctx, small, large), fid, fact,
             "monotonicity hypotheses fail")
     i, j = fact.premises
-    _expect(_mentions(db.facts[i], small) and _mentions(db.facts[j], large), fid, fact,
+    _expect(_mentions(facts[i], small) and _mentions(facts[j], large), fid, fact,
             "witness premises do not mention the sides")
 
 
-def _replay(db: FactDB):
-    # shared by verify and check_trace; neither calls the other, so the time
-    # a profile or a per-layer timing gives each one stays its own
+def _replay(ctx: CardContext, facts: list[TukeyFact], sources: Optional[dict]):
+    """Replay `facts` in order.  A source fact is looked up in the re-run of
+    ``sources[SOURCE[rule]]``, made once per call; with `sources` None it is
+    only checked to be well formed.  verify and check_trace each call this,
+    and not each other, so a profile gives each one its own time."""
     from . import forge, submodel  # noqa: F401  register the forge:, axiom: and plan: checks
-    for fid, fact in enumerate(db.facts):
-        fn = REPLAY.get(fact.rule)
-        if fn is None:
+    reran: dict[str, set] = {}  # source -> the keys its re-run yields
+    for fid, fact in enumerate(facts):
+        entry = REPLAY.get(fact.rule)
+        if entry is None:
             raise ReplayError(f"fact {fid}: unknown rule {fact.rule!r}")
+        n, check = entry
         premises = fact.premises
-        n = getattr(fn, "premises", None)
-        if n is not None and len(premises) != n:
+        if len(premises) != n:
             raise ReplayError(
                 f"fact {fid}: {fact.rule} cites {n} premises, not {len(premises)}")
         for p in premises:
             if not 0 <= p < fid:
                 raise ReplayError(f"fact {fid}: premise {p} does not precede it")
         try:
-            if db.meta is None and hasattr(fn, "source"):
-                # a trace carries no sources: only check the fact is well formed
-                validate_expr(db.ctx, fact.lhs)
-                validate_expr(db.ctx, fact.rhs)
+            if check is not None:
+                check(ctx, facts, fid, fact)
+            elif sources is None:
+                validate_expr(ctx, fact.lhs)
+                validate_expr(ctx, fact.rhs)
             else:
-                fn(db, fid, fact)
+                source = SOURCE[fact.rule]
+                expected = reran.get(source)
+                if expected is None:
+                    obj = sources.get(source)
+                    _expect(obj is not None, fid, fact, f"database carries no {source}")
+                    rerun, errors = RERUN[source]
+                    try:
+                        expected = reran[source] = {c[:4] for c in rerun(ctx, obj)}
+                    except errors as exc:
+                        _expect(False, fid, fact, f"re-running the {source} fails: {exc}")
+                _expect((fact.lhs, fact.rhs, fact.rule, tuple(fact.params)) in expected,
+                        fid, fact, f"re-running the {source} does not reproduce it")
         except (CardError, ExprError) as exc:
             raise ReplayError(f"fact {fid}: {type(exc).__name__}: {exc}") from exc
 
 
 def verify(db: FactDB):
     """Replay every justification; raises ReplayError on the first failure."""
-    _replay(db)
+    _replay(db.ctx, db.facts, db.meta)
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +545,8 @@ def check_trace(ctx: CardContext, lines) -> int:
     number of facts checked.
 
     The structural rules re-derive from the trace alone.  The trace carries
-    no ``meta``, so the facts of the seed, recipe, axiom and plan rules are
+    no sources, so the facts of the seed, recipe, axiom and plan rules are
     only checked to be well formed (see `_replay`)."""
-    db = FactDB(ctx)
-    db.facts, db.meta = parse_trace(lines), None
-    _replay(db)
-    return len(db.facts)
+    facts = parse_trace(lines)
+    _replay(ctx, facts, None)
+    return len(facts)

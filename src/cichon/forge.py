@@ -489,8 +489,8 @@ replays_source("axiom", *(f"axiom:{name}" for name in AXIOMS), rerun=axiom_facts
 
 
 @replays("forge:preEUB-card", premises=1)
-def _replay_preeub_card(db, fid, fact):
-    base = db.facts[fact.premises[0]]
+def _replay_preeub_card(ctx, facts, fid, fact):
+    base = facts[fact.premises[0]]
     _expect(isinstance(base.lhs, CIdeal) and fact.rhs == base.rhs
-            and (fact.lhs, base.lhs) in card_embed(db.ctx, base.lhs), fid, fact,
+            and (fact.lhs, base.lhs) in card_embed(ctx, base.lhs), fid, fact,
             "not a regular cardinal below the premise's covering system")

@@ -90,7 +90,7 @@ def reference_close(db: FactDB) -> FactDB:
 
 
 def clone(db: FactDB) -> FactDB:
-    out = FactDB(db.ctx, db.forced_c)
+    out = FactDB(db.ctx, db.c_name)
     for f in db.facts:
         out.add(f.lhs, f.rhs, f.rule, f.premises, f.params, f.note)
     out.meta = dict(db.meta)
@@ -301,10 +301,7 @@ def scan_value_bounds(db: FactDB, e):
     if not db.closed:
         raise DiagramError("value_bounds on atoms needs a closed database")
 
-    b_lo, b_hi, d_lo, d_hi = [ALEPH1], [], [ALEPH1], []
-    if db.forced_c is not None:
-        b_hi.append(db.forced_c)
-        d_hi.append(db.forced_c)
+    b_lo, b_hi, d_lo, d_hi = [ALEPH1], [db.c_name], [ALEPH1], [db.c_name]
     for f in db.facts:
         if f.lhs == e:
             val = intrinsic_bounds(ctx, f.rhs)

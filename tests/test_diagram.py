@@ -1,15 +1,15 @@
 import pytest
 
-from cichon.cards import ALEPH1, ContextBuilder
+from cichon.cards import ALEPH1, CONTINUUM, ContextBuilder
 from cichon.diagram import (ARROWS, ENTRIES, InconsistentBounds, Interval,
                             _extreme, check_assignment, constellation,
                             format_constellation, intrinsic_bounds,
                             pinned_values, to_dot, value_bounds)
-from cichon.facts import REPLAY, base_facts, close
+from cichon.facts import base_facts, close, replays
 from cichon.systems import (CIdeal, Card, Ideal, Ord, Prod, R1, R2, R3, R4,
                             dual)
 
-REPLAY.setdefault("axiom:test", lambda db, fid, f: None)
+replays("axiom:test")(lambda ctx, facts, fid, f: None)
 
 
 def lam_ctx():
@@ -75,7 +75,7 @@ def test_inconsistent_bounds_detected():
 
 def test_empty_db_gives_wide_intervals():
     ctx = ContextBuilder().build()
-    db = close(base_facts(ctx, None))
+    db = close(base_facts(ctx, CONTINUUM))
     cons = constellation(db)
     for k in ENTRIES:
         if k == "c":
@@ -125,7 +125,7 @@ def test_check_assignment_missing_entries():
 def test_pinned_values_raises_on_gaps():
     from cichon.diagram import DiagramError
     ctx = ContextBuilder().build()
-    db = close(base_facts(ctx, None))
+    db = close(base_facts(ctx, CONTINUUM))
     with pytest.raises(DiagramError):
         pinned_values(constellation(db))
 
@@ -143,3 +143,49 @@ def test_interval_endpoints():
     assert _extreme(ctx, ["a2", "b"], upper=True) == "b"
     assert _extreme(ctx, ["a2", "b", ALEPH1], upper=True) == "b"
     assert _extreme(ctx, ["top", "a2", "b"], upper=False) == "b"
+
+
+def _two_chain_constellation(first, second):
+    """The printed constellation of a recipe over the partial order with
+    chains aleph1 < a1 < a2 < top and aleph1 < b1 < b2 < top joined only by
+    a1 <= b2, declaring the incomparable `first` before `second`."""
+    from cichon import textfmt
+    powers = "".join(f"  assume pow_lt(top,{x})=top;\n" for x in ("b1", "b2", "top", "a2"))
+    text = (f"context {{\n  card {first} regular;\n  card {second} regular;\n"
+            "  card b1 regular;\n  card top regular;\n  card a1 regular;\n"
+            "  lt aleph1 a1;\n  lt aleph1 b1;\n  lt a1 a2;\n  lt b1 b2;\n"
+            "  lt a2 top;\n  lt b2 top;\n  le top c;\n  le a1 b2;\n"
+            f"  assume pow(top,aleph0)=top;\n{powers}}}\n"
+            "recipe m {\n  length top*a2;\n  cc b1;\n  slot hechler;\n"
+            "  slot random_sub(b2) cofinal;\n  slot hechler_sub(b2);\n}\n")
+    return format_constellation(textfmt.derive(textfmt.parse(text), "m").constellation)
+
+
+_TWO_CHAIN_REST = """\
+add(M)  [aleph1, a2]
+b       [aleph1, a2]
+cov(M)  [a2, top]
+non(M)  [aleph1, a2]
+d       [a2, top]
+cof(M)  [a2, top]
+non(N)  top
+cof(N)  top
+c       top
+"""
+
+
+def test_arrow_ends_on_a_partial_order_follow_declaration_order():
+    """The arrow loop meets add(N)'s harvested upper end a2 with cov(N)'s
+    b2, and cov(N)'s b2 with non(M)'s a2.  The two are incomparable and
+    `_extreme` keeps the one declared first, so the loop swaps one end for
+    the other: these ends are order-dependent.  ROADMAP item 7 replaces
+    them with antichains."""
+    assert _two_chain_constellation("b2", "a2") == (
+        "add(N)  [aleph1, b2]\ncov(N)  [aleph1, b2]\n" + _TWO_CHAIN_REST)
+    assert _two_chain_constellation("a2", "b2") == (
+        "add(N)  [aleph1, a2]\ncov(N)  [aleph1, a2]\n" + _TWO_CHAIN_REST)
+
+
+@pytest.mark.xfail(strict=True, reason="interval ends follow declaration order (ROADMAP item 7)")
+def test_arrow_ends_on_a_partial_order_do_not_follow_declaration_order():
+    assert _two_chain_constellation("b2", "a2") == _two_chain_constellation("a2", "b2")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, reject, settings
 
 from cichon.builtins import BUILTINS
-from cichon.cards import ALEPH1, ContextBuilder
+from cichon.cards import ALEPH1, CONTINUUM, ContextBuilder
 from cichon.facts import (FactDB, ReplayError, base_facts, check_trace,
                           cideal_mono, close, parse_trace, seed_facts, verify)
 from cichon.forge import MissingAssumption, run_recipe
@@ -31,7 +31,7 @@ def test_base_facts_reach_continuum():
 def test_every_seed_enters_the_base_database():
     from cichon.builtins import BUILTINS
     for name, b in BUILTINS.items():
-        db = base_facts(b.ctx())
+        db = base_facts(b.ctx(), CONTINUUM)
         seeds = seed_facts(b.ctx(), db.c_name)
         assert [(f.lhs, f.rhs, f.rule, f.params, f.note) for f in db.facts] == seeds, name
 
@@ -40,7 +40,7 @@ def test_forced_c_renames_continuum():
     db = base_facts(lam_ctx(), "lam")
     assert db.c_name == "lam"
     assert any(isinstance(f.rhs, CIdeal) and f.rhs.index == "lam" for f in db.facts)
-    db_unforced = base_facts(lam_ctx(), None)
+    db_unforced = base_facts(lam_ctx(), CONTINUUM)
     assert db_unforced.c_name == "c"
 
 

@@ -205,18 +205,27 @@ _CARDS = (ALEPH1,) + _NAMES
 _ATOMS = ("Lc", "Cn", "ww", "Mg")
 
 
+# the strategies a draw reuses, built once
+_CLASSES = (st.sampled_from(sorted(FULL_CLASSES.values(), key=lambda c: c.name))
+            | st.builds(lambda make, theta: SUB_MAKERS[make](theta),
+                        st.sampled_from(sorted(SUB_MAKERS)), st.sampled_from(_CARDS)))
+_ANY_BOOKKEEPING = st.tuples(st.sampled_from(_ATOMS), st.sampled_from(_CARDS))
+
+
 @st.composite
 def _slots(draw):
-    full = st.sampled_from(sorted(FULL_CLASSES.values(), key=lambda c: c.name))
-    sub = st.builds(lambda make, theta: SUB_MAKERS[make](theta),
-                    st.sampled_from(sorted(SUB_MAKERS)), st.sampled_from(_CARDS))
-    cls = draw(full | sub)
+    cls = draw(_CLASSES)
     bookkeeping = st.none()
     if cls.size_bound is not None:  # mostly the bookkeeping its class can carry
         bookkeeping |= st.just((cls.dominates_small[0].atom, cls.size_bound))
     if draw(st.integers(0, 3)) == 0:
-        bookkeeping = st.tuples(st.sampled_from(_ATOMS), st.sampled_from(_CARDS))
+        bookkeeping = _ANY_BOOKKEEPING
     return Slot(cls, cofinal=draw(st.booleans()), bookkeeping=draw(bookkeeping))
+
+
+_LENGTHS = st.lists(st.sampled_from(_CARDS), min_size=1, max_size=2)
+_CCS = st.sampled_from(_CARDS + ("aleph0",))
+_SLOT_LISTS = st.lists(_slots(), min_size=1, max_size=4)
 
 
 @st.composite
@@ -233,10 +242,8 @@ def _recipes(draw):
         for t in _CARDS[1:_CARDS.index(a) + 1]:
             if draw(st.booleans()):
                 b.pow_lt(a, t)
-    r = Recipe("random",
-               length=tuple(draw(st.lists(st.sampled_from(_CARDS), min_size=1, max_size=2))),
-               cc=draw(st.sampled_from(_CARDS + ("aleph0",))),
-               slots=tuple(draw(st.lists(_slots(), min_size=1, max_size=4))))
+    r = Recipe("random", length=tuple(draw(_LENGTHS)), cc=draw(_CCS),
+               slots=tuple(draw(_SLOT_LISTS)))
     return b.build(), r
 
 

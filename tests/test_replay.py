@@ -14,10 +14,10 @@ import pytest
 from cichon import forge
 from cichon.builtins import BUILTINS, builtin
 from cichon.cards import ALEPH1, ContextBuilder
-from cichon.facts import REPLAY, FactDB, ReplayError, check_trace, close, verify
+from cichon.facts import FactDB, ReplayError, check_trace, close, replays, verify
 from cichon.systems import Card, Ideal, Prod, R4, dual
 
-REPLAY.setdefault("axiom:test", lambda db, fid, f: None)
+replays("axiom:test")(lambda ctx, facts, fid, f: None)
 
 
 def derive(name):
@@ -61,6 +61,32 @@ def test_trace_card_embed_without_premises():
     lines = _retrace(db.trace_lines(), "rule:card-embed", "")
     with pytest.raises(ReplayError, match="premises"):
         check_trace(db.ctx, lines)
+
+
+def test_a_source_fact_cites_no_premises():
+    """A seed fact that cites a premise fails on its count, in `verify` and
+    in `check_trace`."""
+    db = derive("mod1")
+    lines = _retrace(db.trace_lines(), "seed:diagram", "0")
+    with pytest.raises(ReplayError, match="seed:diagram cites 0 premises, not 1"):
+        check_trace(db.ctx, lines)
+    fid = next(i for i, f in enumerate(db.facts) if i and f.rule == "seed:diagram")
+    replace_fact(db, fid, premises=(0,))
+    with pytest.raises(ReplayError, match=rf"fact {fid}: seed:diagram cites 0 premises, not 1"):
+        verify(db)
+
+
+def test_check_trace_builds_no_database(monkeypatch):
+    db = derive("mod1")
+    lines, calls = db.trace_lines(), []
+    init = FactDB.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+    monkeypatch.setattr(FactDB, "__init__", counted)
+    assert check_trace(db.ctx, lines) == len(db.facts)
+    assert calls == []
 
 
 def test_verify_trans_with_one_premise():
@@ -208,7 +234,8 @@ def test_verify_rechecks_the_source(name, source, change, msg):
 
 
 @pytest.mark.parametrize("name", ["gksmax", "kst", "bcm"])
-def test_verify_runs_the_construction_once_per_database(monkeypatch, name):
+def test_verify_runs_the_construction_once_per_call(monkeypatch, name):
+    """One `verify` re-runs the axiom model once for all its facts."""
     db = derive(name)
     entry, calls = forge.AXIOMS[name], []
 
@@ -216,7 +243,6 @@ def test_verify_runs_the_construction_once_per_database(monkeypatch, name):
         calls.append(cards)
         return entry.construct(ctx, cards)
     monkeypatch.setitem(forge.AXIOMS, name, dataclasses.replace(entry, construct=construct))
-    verify(db)
     verify(db)
     assert sum(f.rule == f"axiom:{name}" for f in db.facts) > 1
     assert calls == [db.meta["axiom"][1]]
@@ -345,7 +371,9 @@ def test_verify_rechecks_the_recipe_wide_hypotheses():
     ("rule:card-embed", "C[lam5<aleph1]", "C[zzz<aleph1]", "fact"),   # undeclared name
     ("seed:diagram", "idl(N)", "idl(Q)", "trace line"),               # unknown ideal
     ("seed:diagram", "C[lam5<aleph1]", "C[lam1<lam5]", "fact"),       # theta above index
-], ids=["undeclared-cardinal", "unknown-ideal", "theta-above-index"])
+    ("seed:diagram", "C[lam5<aleph1]", "C[zzz<aleph1]", "fact"),      # undeclared, in a source fact
+], ids=["undeclared-cardinal", "unknown-ideal", "theta-above-index",
+        "undeclared-cardinal-in-source"])
 def test_check_trace_bad_expression(rule, old, new, where):
     db = derive("mod1")
     lines = db.trace_lines()
