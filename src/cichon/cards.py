@@ -81,7 +81,7 @@ Declaration = tuple
 
 class CardContext:
     """Immutable catalog of named cardinals, built from an ordered declaration
-    list (or with :class:`ContextBuilder`)."""
+    list."""
 
     def __init__(self, declarations: Sequence[Declaration]):
         self.declarations = tuple(declarations)
@@ -101,20 +101,20 @@ class CardContext:
         edges = [(0, 1, True), (1, 2, False)]  # aleph0 < aleph1 <= c
         succs: list[tuple[str, str]] = []
 
-        for decl in declarations:
-            kind = decl[0]
+        for decl in self.declarations:
+            if len(decl) != 3:
+                raise ValueError(f"bad declaration {decl!r}")
+            kind, a, b = decl
             if kind == "card":
-                _, name, regular = decl
-                if name in (ALEPH0, ALEPH1, CONTINUUM):
+                if a in (ALEPH0, ALEPH1, CONTINUUM):
                     # re-declaring the built-ins only adjusts the regular flag
-                    if regular:
-                        self._regular.add(name)
+                    if b:
+                        self._regular.add(a)
                     continue
-                self._declare(name, regular=regular)
+                self._declare(a, regular=b)
                 continue
             if kind not in ("le", "lt", "succ") and kind not in self._assumed:
                 raise ValueError(f"unknown declaration kind {kind!r}")
-            _, a, b = decl
             i, j = self.check(a), self.check(b)
             if kind in self._assumed:
                 self._assumed[kind].setdefault(a, []).append(b)
@@ -290,45 +290,3 @@ class CardContext:
         """|mu ∩ N| for a model N of width model_width: min(mu, width)."""
         return self.min_of([mu, model_width])
 
-
-class ContextBuilder:
-    """Small fluent helper for assembling declaration lists in code."""
-
-    def __init__(self):
-        self.decls: list[Declaration] = []
-
-    def card(self, name: str, regular: bool = False) -> "ContextBuilder":
-        self.decls.append(("card", name, regular))
-        return self
-
-    def le(self, a: str, b: str) -> "ContextBuilder":
-        self.decls.append(("le", a, b))
-        return self
-
-    def lt(self, a: str, b: str) -> "ContextBuilder":
-        self.decls.append(("lt", a, b))
-        return self
-
-    def chain(self, names: Sequence[str], strict: bool = False) -> "ContextBuilder":
-        for a, b in zip(names, names[1:]):
-            (self.lt if strict else self.le)(a, b)
-        return self
-
-    def pow_lt(self, a: str, b: str) -> "ContextBuilder":
-        self.decls.append(("pow_lt", a, b))
-        return self
-
-    def pow(self, a: str, b: str) -> "ContextBuilder":
-        self.decls.append(("pow", a, b))
-        return self
-
-    def inaccessible(self, a: str, b: str) -> "ContextBuilder":
-        self.decls.append(("inaccessible", a, b))
-        return self
-
-    def succ(self, a: str, b: str) -> "ContextBuilder":
-        self.decls.append(("succ", a, b))
-        return self
-
-    def build(self) -> CardContext:
-        return CardContext(self.decls)

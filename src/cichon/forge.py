@@ -7,7 +7,7 @@ class from a fixed catalog:
 * full classes - Cohen, Random, EvDiff (eventually different reals),
   Hechler, Loc (localization) - which add a known kind of dominating real
   over the whole extension, and
-* restricted classes - RandomSub/HechlerSub/LocSub of size below theta -
+* restricted classes - random_sub/hechler_sub/loc_sub(theta), of size below theta,
   which only dominate over the small bookkept models but are
   theta-good for every Polish system by virtue of their size.
 
@@ -130,21 +130,9 @@ def _sub(parent: IterandClass, theta: str) -> IterandClass:
     )
 
 
-def random_sub(theta: str) -> IterandClass:
-    return _sub(RANDOM, theta)
-
-
-def hechler_sub(theta: str) -> IterandClass:
-    return _sub(HECHLER, theta)
-
-
-def loc_sub(theta: str) -> IterandClass:
-    return _sub(LOC, theta)
-
-
 FULL_CLASSES = {c.name: c for c in (COHEN, RANDOM, EVDIFF, HECHLER, LOC)}
-SUB_MAKERS = {"random_sub": random_sub, "hechler_sub": hechler_sub,
-              "loc_sub": loc_sub}
+# "<name>_sub" -> the full class that the size-bounded class restricts
+SUB_PARENTS = {c.name + "_sub": c for c in (RANDOM, HECHLER, LOC)}
 
 
 def iterand(token: str, theta: Optional[str] = None) -> IterandClass:
@@ -152,10 +140,10 @@ def iterand(token: str, theta: Optional[str] = None) -> IterandClass:
         if theta is not None:
             raise ForgeError(f"{token} takes no size parameter")
         return FULL_CLASSES[token]
-    if token in SUB_MAKERS:
+    if token in SUB_PARENTS:
         if theta is None:
             raise ForgeError(f"{token} needs a size parameter")
-        return SUB_MAKERS[token](theta)
+        return _sub(SUB_PARENTS[token], theta)
     raise ForgeError(f"unknown iterand class {token!r}")
 
 

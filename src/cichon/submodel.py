@@ -160,21 +160,19 @@ def step(states: Sequence[SysState], c: ChainSpec, ctx: CardContext
         if collapsed:
             below2.add(c.length)
 
-        degree = ctx.min_of([c.closure, c.length])
-        if degree != c.closure:
-            naive = ctx.min_of([st.b, c.closure])
-            used = ctx.min_of([st.b, degree])
-            if naive != used:
-                notes.append(
-                    f"system {sysno}: union closure read as min({c.closure},{c.length})={degree}"
-                    f" (raw closure would give b>={naive})")
         try:
+            degree = ctx.min_of([c.closure, c.length])
+            naive = ctx.min_of([st.b, c.closure])
             b_lo = ctx.min_of([st.b, degree])
             b_hi = ctx.min_of(below2)
             d_hi = ctx.trace(st.d, c.width)
             d_lo = ctx.max_of(below2)
         except IncomparableNames as exc:
             raise Unpinned(f"system {sysno}: {exc}") from None
+        if naive != b_lo:
+            notes.append(
+                f"system {sysno}: union closure read as min({c.closure},{c.length})={degree}"
+                f" (raw closure would give b>={naive})")
 
         if not ctx.same(b_lo, b_hi):
             raise Unpinned(

@@ -3,32 +3,27 @@ import random
 import pytest
 
 from cichon.cards import (ALEPH0, ALEPH1, CONTINUUM, BadSuccessor, CardContext,
-                          ContextBuilder, DuplicateName, IncomparableFactors,
-                          IncomparableNames, NonRegularFactor, OrderCycle,
-                          UnknownName)
+                          DuplicateName, IncomparableFactors, IncomparableNames,
+                          NonRegularFactor, OrderCycle, UnknownName)
 
 
 def section5_ctx():
-    b = ContextBuilder()
     lams = ["lam1b", "lam2b", "lam3b", "lam4b", "lam4d", "lam3d", "lam2d", "lam1d"]
-    for n in lams:
-        b.card(n, regular=True)
-    b.card("lamc")
     thetas = ["th1m", "th1", "th2m", "th2", "th3m", "th3", "th4m", "th4", "thinf"]
-    for n in thetas:
-        b.card(n, regular=True)
-    b.chain([ALEPH1] + lams + ["lamc"] + thetas, strict=True)
-    return b.build()
+    chain = [ALEPH1] + lams + ["lamc"] + thetas
+    return CardContext([("card", n, True) for n in lams] + [("card", "lamc", False)]
+                       + [("card", n, True) for n in thetas]
+                       + [("lt", a, b) for a, b in zip(chain, chain[1:])])
 
 
 def test_two_element_chain():
-    ctx = ContextBuilder().card("lam", regular=True).le(ALEPH1, "lam").build()
+    ctx = CardContext([("card", "lam", True), ("le", ALEPH1, "lam")])
     assert ctx.leq(ALEPH1, "lam") is True
     assert ctx.is_regular("lam")
 
 
 def test_aleph0_aleph1_always_present():
-    ctx = ContextBuilder().build()
+    ctx = CardContext([])
     assert ctx.leq(ALEPH0, ALEPH1) is True
     assert ctx.lt(ALEPH0, ALEPH1) is True
     assert ctx.is_regular(ALEPH1)
@@ -42,50 +37,48 @@ def test_section5_chain_accepted():
 
 
 def test_reflexivity_and_unknown():
-    ctx = ContextBuilder().card("a").card("b").build()
+    ctx = CardContext([("card", "a", False), ("card", "b", False)])
     assert ctx.leq("a", "a") is True
     assert ctx.leq("a", "b") is None
 
 
 def test_order_cycle_rejected():
     with pytest.raises(OrderCycle):
-        ContextBuilder().card("a").card("b").le("a", "b").lt("b", "a").build()
+        CardContext([("card", "a", False), ("card", "b", False),
+                     ("le", "a", "b"), ("lt", "b", "a")])
 
 
 def test_nonstrict_cycle_allowed_as_alias():
-    ctx = ContextBuilder().card("a").card("b").le("a", "b").le("b", "a").build()
+    ctx = CardContext([("card", "a", False), ("card", "b", False),
+                       ("le", "a", "b"), ("le", "b", "a")])
     assert ctx.leq("a", "b") is True and ctx.leq("b", "a") is True
 
 
 def test_duplicate_name():
     with pytest.raises(DuplicateName):
-        ContextBuilder().card("a").card("a").build()
+        CardContext([("card", "a", False), ("card", "a", False)])
 
 
 def test_successor_is_enforced():
-    def ctx(*succs):
-        b = ContextBuilder()
-        for n in ("a", "b", "x"):
-            b.card(n, regular=True)
-        b.chain([ALEPH1, "a"], strict=True).le("b", "x")
-        for target in succs:
-            b.succ("a", target)
-        return b
+    def ctx(succs, *more):
+        return CardContext([("card", n, True) for n in ("a", "b", "x")]
+                           + [("lt", ALEPH1, "a"), ("le", "b", "x")]
+                           + [("succ", "a", target) for target in succs] + list(more))
     # a second successor strictly above the first
     with pytest.raises(BadSuccessor, match="succ.a. is declared as both b and x"):
-        ctx("b", "x").lt("b", "x").build()
+        ctx(("b", "x"), ("lt", "b", "x"))
     # a second successor equal to the first as a cardinal is the same claim
-    same = ctx("b", "x").le("x", "b").build()
+    same = ctx(("b", "x"), ("le", "x", "b"))
     assert same.succ_of("a") == "b" and same.same("b", "x")
     # a declared name strictly between a and a^+
     with pytest.raises(BadSuccessor, match="b lies strictly between a and succ.a.=x"):
-        ctx("x").lt("a", "b").lt("b", "x").build()
+        ctx(("x",), ("lt", "a", "b"), ("lt", "b", "x"))
     # merely below the successor is no contradiction
-    assert ctx("x").le("b", "x").build().succ_of("a") == "x"
+    assert ctx(("x",), ("le", "b", "x")).succ_of("a") == "x"
 
 
 def test_unknown_name():
-    ctx = ContextBuilder().build()
+    ctx = CardContext([])
     with pytest.raises(UnknownName):
         ctx.leq("nope", ALEPH1)
 
@@ -103,11 +96,8 @@ def test_preorder_random_triples():
 
 
 def test_cf_and_card_of_products():
-    b = ContextBuilder()
-    for n in ("lam4", "lam5"):
-        b.card(n, regular=True)
-    b.le("lam4", "lam5")
-    ctx = b.build()
+    ctx = CardContext([("card", "lam4", True), ("card", "lam5", True),
+                       ("le", "lam4", "lam5")])
     e = ctx.ordinal(["lam5", "lam4"])
     assert ctx.cf(e) == "lam4"
     assert ctx.card(e) == "lam5"
@@ -122,13 +112,13 @@ def test_cf_and_card_of_products():
 
 
 def test_ordinal_rejects_nonregular():
-    ctx = ContextBuilder().card("mu").build()
+    ctx = CardContext([("card", "mu", False)])
     with pytest.raises(NonRegularFactor):
         ctx.ordinal(["mu"])
 
 
 def test_card_incomparable_factors():
-    ctx = ContextBuilder().card("a", regular=True).card("b", regular=True).build()
+    ctx = CardContext([("card", "a", True), ("card", "b", True)])
     with pytest.raises(IncomparableFactors):
         ctx.card(ctx.ordinal(["a", "b"]))
 
@@ -139,7 +129,7 @@ def test_trace_is_min():
     assert ctx.trace("lam4d", "th3") == "lam4d"
     assert ctx.trace("th2", "th2") == "th2"
     with pytest.raises(IncomparableNames):
-        ContextBuilder().card("a").card("b").build().trace("a", "b")
+        CardContext([("card", "a", False), ("card", "b", False)]).trace("a", "b")
 
 
 def test_trace_bounds_property():
@@ -156,12 +146,9 @@ def test_trace_bounds_property():
 
 
 def test_assumption_weakening():
-    b = ContextBuilder()
-    for n in ("lam3", "lam5"):
-        b.card(n, regular=True)
-    b.chain([ALEPH1, "lam3", "lam5"], strict=True)
-    b.pow_lt("lam5", "lam3")
-    ctx = b.build()
+    ctx = CardContext([("card", "lam3", True), ("card", "lam5", True),
+                       ("lt", ALEPH1, "lam3"), ("lt", "lam3", "lam5"),
+                       ("pow_lt", "lam5", "lam3")])
     assert ctx.has_pow_lt("lam5", "lam3")
     assert ctx.has_pow_lt("lam5", ALEPH1)       # weaker exponent
     assert not ctx.has_pow_lt("lam5", "lam5")   # stronger exponent
@@ -321,7 +308,28 @@ def test_check_returns_position():
     ctx = section5_ctx()
     assert [ctx.check(n) for n in ctx.names] == list(range(len(ctx.names)))
     assert ctx.canon("lam1b") == "lam1b"
-    alias = ContextBuilder().card("a").card("b").le("b", "a").le("a", "b").build()
+    alias = CardContext([("card", "a", False), ("card", "b", False),
+                         ("le", "b", "a"), ("le", "a", "b")])
     assert alias.canon("b") == "a" and alias.has("b") and not alias.has("z")
     with pytest.raises(UnknownName):
         alias.check("z")
+
+
+@pytest.mark.parametrize("decl, msg", [
+    (("card", "a"), "bad declaration ('card', 'a')"),
+    (("lt", "a"), "bad declaration ('lt', 'a')"),
+    (("le", "a", "b", "c"), "bad declaration ('le', 'a', 'b', 'c')"),
+    ((), "bad declaration ()"),
+    (("gt", "a", "b"), "unknown declaration kind 'gt'"),
+])
+def test_malformed_declaration_is_named(decl, msg):
+    with pytest.raises(ValueError) as err:
+        CardContext([("card", "a", False), ("card", "b", False), decl])
+    assert str(err.value) == msg
+
+
+def test_declarations_may_come_from_a_generator():
+    decls = [("card", "lam", True), ("lt", ALEPH1, "lam")]
+    ctx = CardContext(d for d in decls)
+    assert ctx.declarations == tuple(decls)
+    assert ctx.has("lam") and ctx.lt(ALEPH1, "lam") is True

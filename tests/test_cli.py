@@ -115,6 +115,26 @@ def test_intersect_malformed_plan_exits_nonzero(tmp_path, capsys):
     assert code == 1
 
 
+def test_undecided_union_closure_is_unpinned(tmp_path, capsys):
+    """A chain whose closure succ(th4m) = s4 and length th4 order fine, but
+    whose width y is incomparable with s4: the plan is well formed, and the
+    step reports the comparison it cannot make as an unpinned system."""
+    text = render_file(builtin_file("cichon_max"))
+    for old, new in (
+            ("  lt aleph1 lam1b;\n",
+             "  card s4 regular;\n  card y regular;\n  lt aleph1 y;\n  lt y th4;\n"
+             "  lt aleph1 lam1b;\n"),
+            ("  assume succ(th4m)=th4;\n",
+             "  assume succ(th4m)=s4;\n  lt th4m s4;\n  lt s4 th4;\n"),
+            ("chain d 4 (lam4d, succ(th4m), th4)", "chain d 4 (y, succ(th4m), th4)")):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path = tmp_path / "undecided.rcp"
+    path.write_text(text)
+    code, out, err = run(capsys, "intersect", str(path), "--plan", "cichon_max")
+    assert (code, out, err) == (1, "", "error: system 1: no minimum among ['s4', 'y']\n")
+
+
 def test_finite_subcommands(tmp_path, capsys):
     cones = tmp_path / "cones3.sys"
     cones.write_text("3 3\n101\n110\n011\n")

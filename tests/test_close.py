@@ -19,7 +19,7 @@ from hypothesis import given, settings
 
 from cichon import facts, forge, submodel
 from cichon.builtins import BUILTINS, builtin
-from cichon.cards import ALEPH0, ALEPH1, ContextBuilder
+from cichon.cards import ALEPH0, ALEPH1, CardContext
 from cichon.diagram import (DiagramError, InconsistentBounds, Interval, _extreme,
                             intrinsic_bounds, value_bounds)
 from cichon.facts import EXPR_RULES, FactDB, base_facts, cideal_mono, close
@@ -162,13 +162,11 @@ def chain_db(n: int) -> FactDB:
     """aleph1 < n0 < ... < n{n-1}, all regular; one C[n_k < n_{k//2}] fact
     per name, so card-embed and cideal-mono fire between every pair."""
     names = [f"n{k}" for k in range(n)]
-    b = ContextBuilder()
-    for nm in names:
-        b.card(nm, regular=True)
-    b.chain([ALEPH1] + names, strict=True)
-    for k in range(0, n, 3):
-        b.pow_lt(names[k], names[k // 2])
-    db = FactDB(b.build(), names[-1])
+    chain = [ALEPH1] + names
+    ctx = CardContext([("card", nm, True) for nm in names]
+                      + [("lt", a, b) for a, b in zip(chain, chain[1:])]
+                      + [("pow_lt", names[k], names[k // 2]) for k in range(0, n, 3)])
+    db = FactDB(ctx, names[-1])
     for k, nm in enumerate(names):
         db.add(CIdeal(nm, names[k // 2]), R3, "axiom:test", note="t")
     return db
@@ -184,15 +182,14 @@ def test_chain_matches_reference(n):
 def random_db(rng: random.Random) -> FactDB:
     n = rng.randint(2, 5)
     names = [f"m{k}" for k in range(n)]
-    b = ContextBuilder()
-    for nm in names:
-        b.card(nm, regular=rng.random() < 0.7)
-    b.chain([ALEPH1] + names, strict=True)
+    decls = [("card", nm, rng.random() < 0.7) for nm in names]
+    chain = [ALEPH1] + names
+    decls += [("lt", a, b) for a, b in zip(chain, chain[1:])]
     ctx_names = [ALEPH0, ALEPH1] + names
     for _ in range(rng.randint(0, 3)):
         lo, hi = sorted(rng.sample(range(len(ctx_names)), 2))
-        b.pow_lt(ctx_names[hi], ctx_names[lo])
-    ctx = b.build()
+        decls.append(("pow_lt", ctx_names[hi], ctx_names[lo]))
+    ctx = CardContext(decls)
     regular = [nm for nm in ctx_names if ctx.is_regular(nm)]
 
     def pair():

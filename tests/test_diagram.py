@@ -1,6 +1,6 @@
 import pytest
 
-from cichon.cards import ALEPH1, CONTINUUM, ContextBuilder
+from cichon.cards import ALEPH1, CONTINUUM, CardContext
 from cichon.diagram import (ARROWS, ENTRIES, InconsistentBounds, Interval,
                             _extreme, check_assignment, constellation,
                             format_constellation, intrinsic_bounds,
@@ -13,17 +13,16 @@ replays("axiom:test")(lambda ctx, facts, fid, f: None)
 
 
 def lam_ctx():
-    return (ContextBuilder().card("lam", regular=True).lt(ALEPH1, "lam")
-            .pow("lam", "aleph0").pow_lt("lam", ALEPH1).build())
+    return CardContext([("card", "lam", True), ("lt", ALEPH1, "lam"),
+                        ("pow", "lam", "aleph0"), ("pow_lt", "lam", ALEPH1)])
 
 
 def five_ctx():
-    b = ContextBuilder()
-    for i in range(1, 6):
-        b.card(f"lam{i}", regular=True)
-    b.chain([ALEPH1] + [f"lam{i}" for i in range(1, 6)], strict=True)
-    b.pow_lt("lam5", "lam3")
-    return b.build()
+    lams = [f"lam{i}" for i in range(1, 6)]
+    chain = [ALEPH1] + lams
+    return CardContext([("card", n, True) for n in lams]
+                       + [("lt", a, b) for a, b in zip(chain, chain[1:])]
+                       + [("pow_lt", "lam5", "lam3")])
 
 
 def test_intrinsic_values():
@@ -74,7 +73,7 @@ def test_inconsistent_bounds_detected():
 
 
 def test_empty_db_gives_wide_intervals():
-    ctx = ContextBuilder().build()
+    ctx = CardContext([])
     db = close(base_facts(ctx, CONTINUUM))
     cons = constellation(db)
     for k in ENTRIES:
@@ -124,7 +123,7 @@ def test_check_assignment_missing_entries():
 
 def test_pinned_values_raises_on_gaps():
     from cichon.diagram import DiagramError
-    ctx = ContextBuilder().build()
+    ctx = CardContext([])
     db = close(base_facts(ctx, CONTINUUM))
     with pytest.raises(DiagramError):
         pinned_values(constellation(db))
@@ -133,9 +132,9 @@ def test_pinned_values_raises_on_gaps():
 def test_interval_endpoints():
     """The dominating candidate as its first declared equal; with none, the
     first maximal (minimal) candidate in context order."""
-    b = ContextBuilder().card("a").card("b").card("a2").card("top")
-    b.lt(ALEPH1, "a").lt(ALEPH1, "b").le("a", "a2").le("a2", "a")
-    ctx = b.lt("a", "top").lt("b", "top").build()
+    ctx = CardContext([("card", n, False) for n in ("a", "b", "a2", "top")]
+                      + [("lt", ALEPH1, "a"), ("lt", ALEPH1, "b"), ("le", "a", "a2"),
+                         ("le", "a2", "a"), ("lt", "a", "top"), ("lt", "b", "top")])
     assert _extreme(ctx, [], upper=True) is None
     assert _extreme(ctx, [ALEPH1, "a2"], upper=True) == "a"
     assert _extreme(ctx, ["top", "a2"], upper=False) == "a"

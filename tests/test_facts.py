@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, reject, settings
 
 from cichon.builtins import BUILTINS
-from cichon.cards import ALEPH1, CONTINUUM, ContextBuilder
+from cichon.cards import ALEPH1, CONTINUUM, CardContext
 from cichon.facts import (FactDB, ReplayError, base_facts, check_trace,
                           cideal_mono, close, parse_trace, seed_facts, verify)
 from cichon.forge import MissingAssumption, run_recipe
@@ -15,8 +15,8 @@ from test_forge import _recipes
 
 
 def lam_ctx():
-    return (ContextBuilder().card("lam", regular=True).lt(ALEPH1, "lam")
-            .pow("lam", "aleph0").pow_lt("lam", ALEPH1).build())
+    return CardContext([("card", "lam", True), ("lt", ALEPH1, "lam"),
+                        ("pow", "lam", "aleph0"), ("pow_lt", "lam", ALEPH1)])
 
 
 def test_base_facts_reach_continuum():
@@ -66,11 +66,9 @@ def test_equivalence_closure_bookkeeping():
 
 
 def test_card_embed_rule():
-    b = ContextBuilder()
-    for n in ("th", "mu", "lam"):
-        b.card(n, regular=True)
-    b.chain([ALEPH1, "th", "mu", "lam"], strict=True)
-    ctx = b.build()
+    chain = [ALEPH1, "th", "mu", "lam"]
+    ctx = CardContext([("card", n, True) for n in chain[1:]]
+                      + [("lt", a, b) for a, b in zip(chain, chain[1:])])
     db = FactDB(ctx, "lam")
     db.add(CIdeal("lam", "th"), R3, "axiom:test", note="t")
     close(db)
@@ -88,8 +86,8 @@ def test_ideal_collapse_needs_assumption():
     assert db.has(CIdeal("lam", ALEPH1), Ideal("lam", ALEPH1))
     assert db.has(Ideal("lam", ALEPH1), CIdeal("lam", ALEPH1))
 
-    ctx2 = (ContextBuilder().card("lam", regular=True).lt(ALEPH1, "lam")
-            .pow("lam", "aleph0").build())
+    ctx2 = CardContext([("card", "lam", True), ("lt", ALEPH1, "lam"),
+                        ("pow", "lam", "aleph0")])
     db2 = FactDB(ctx2, "lam")
     db2.add(R1, CIdeal("lam", ALEPH1), "axiom:test", note="t")
     close(db2)
@@ -97,11 +95,9 @@ def test_ideal_collapse_needs_assumption():
 
 
 def test_cideal_monotonicity():
-    b = ContextBuilder()
-    for n in ("th1", "th2", "lam"):
-        b.card(n, regular=True)
-    b.chain([ALEPH1, "th1", "th2", "lam"], strict=True)
-    ctx = b.build()
+    chain = [ALEPH1, "th1", "th2", "lam"]
+    ctx = CardContext([("card", n, True) for n in chain[1:]]
+                      + [("lt", a, b) for a, b in zip(chain, chain[1:])])
     db = FactDB(ctx, "lam")
     small, large = CIdeal("lam", "th2"), CIdeal("lam", "th1")
     db.add(small, R1, "axiom:test", note="t")
@@ -112,12 +108,9 @@ def test_cideal_monotonicity():
 
 
 def test_ord_cofinality_rule():
-    b = ContextBuilder()
-    for n in ("lam4", "lam5"):
-        b.card(n, regular=True)
-    b.chain([ALEPH1, "lam4", "lam5"], strict=True)
-    b.pow("lam5", "aleph0")
-    ctx = b.build()
+    ctx = CardContext([("card", "lam4", True), ("card", "lam5", True),
+                       ("lt", ALEPH1, "lam4"), ("lt", "lam4", "lam5"),
+                       ("pow", "lam5", "aleph0")])
     db = FactDB(ctx, "lam5")
     O = Ord(("lam5", "lam4"))
     db.add(R4, O, "axiom:test", note="t")
@@ -127,12 +120,9 @@ def test_ord_cofinality_rule():
 
 
 def test_product_projections():
-    b = ContextBuilder()
-    for n in ("lam4", "lam5"):
-        b.card(n, regular=True)
-    b.chain([ALEPH1, "lam4", "lam5"], strict=True)
-    b.pow("lam5", "aleph0")
-    ctx = b.build()
+    ctx = CardContext([("card", "lam4", True), ("card", "lam5", True),
+                       ("lt", ALEPH1, "lam4"), ("lt", "lam4", "lam5"),
+                       ("pow", "lam5", "aleph0")])
     db = FactDB(ctx, "lam5")
     p = Prod((Card("lam5"), Card("lam4")))
     db.add(R4, p, "axiom:test", note="t")
@@ -252,12 +242,10 @@ def test_cideal_mono_sound_at_finite_scale():
     ordinal).  A finite linear order has a top element, so it is
     Tukey-equivalent to a point, and no finite system plays a regular
     cardinal."""
-    b = ContextBuilder()
     names = {i: f"n{i}" for i in range(2, 6)}
-    for name in names.values():
-        b.card(name, regular=True)
-    b.chain([ALEPH1, *names.values()], strict=True)
-    ctx = b.build()
+    chain = [ALEPH1, *names.values()]
+    ctx = CardContext([("card", name, True) for name in names.values()]
+                      + [("lt", a, b) for a, b in zip(chain, chain[1:])])
     shapes = [(n, k) for n in range(2, 6) for k in range(2, n + 1)]
     checked = 0
     for n, k in shapes:

@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 
 from cichon import forge
 from cichon.builtins import builtin
-from cichon.cards import ALEPH1, ContextBuilder
+from cichon.cards import ALEPH1, CardContext
 from cichon.diagram import pinned_values
 from cichon.facts import check_trace, verify
-from cichon.forge import (COHEN, FULL_CLASSES, HECHLER, LOC, RANDOM, SUB_MAKERS,
-                          MissingAssumption, PreconditionFailed, Recipe, Slot,
-                          axiom_model, cohen_limit, fullgen, hechler_sub,
-                          iterand, itsmallsets, loc_sub, preEUB,
-                          preeub_threshold, random_sub, run_recipe, validate)
+from cichon.forge import (COHEN, FULL_CLASSES, HECHLER, LOC, RANDOM, SUB_PARENTS,
+                          ForgeError, MissingAssumption, PreconditionFailed, Recipe, Slot,
+                          axiom_model, cohen_limit, fullgen, iterand, itsmallsets,
+                          preEUB, preeub_threshold, run_recipe, validate)
 from cichon.systems import CIdeal, Card, Ideal, Prs
 
 WARMUP_EXPECTED = {
@@ -84,7 +83,7 @@ def test_catalog_goodness():
     assert RANDOM.good_thresholds("Cn") == []           # adds random reals
     assert LOC.good_thresholds("Lc") == []
     assert ALEPH1 in COHEN.good_thresholds("Mg")
-    sub = hechler_sub("lam3")
+    sub = iterand("hechler_sub", "lam3")
     assert ALEPH1 in sub.good_thresholds("Cn")          # inherited
     assert "lam3" in sub.good_thresholds("ww")          # by size
     assert sub.adds_dominating == ()                    # only over its models
@@ -93,8 +92,7 @@ def test_catalog_goodness():
 
 def test_iterand_token_parsing():
     assert iterand("cohen") == COHEN
-    assert iterand("loc_sub", "lam1") == loc_sub("lam1")
-    from cichon.forge import ForgeError
+    assert iterand("loc_sub", "lam1") == forge._sub(LOC, "lam1")
     with pytest.raises(ForgeError):
         iterand("cohen", "lam1")
     with pytest.raises(ForgeError):
@@ -111,11 +109,10 @@ def test_preeub_threshold_computation():
 
 
 def test_validate_missing_assumption():
-    b = ContextBuilder()
-    for i in range(1, 6):
-        b.card(f"lam{i}", regular=True)
-    b.chain([ALEPH1] + [f"lam{i}" for i in range(1, 6)], strict=True)
-    ctx = b.build()  # deliberately missing pow_lt(lam5, lam3)
+    chain = [ALEPH1] + [f"lam{i}" for i in range(1, 6)]
+    decls = ([("card", n, True) for n in chain[1:]]
+             + [("lt", a, b) for a, b in zip(chain, chain[1:])])
+    ctx = CardContext(decls)  # deliberately missing pow_lt(lam5, lam3)
     recipe = builtin("mod1").recipe
     diags = validate(ctx, recipe)
     assert any("pow_lt(lam5,lam3)" in d for d in diags)
@@ -124,11 +121,8 @@ def test_validate_missing_assumption():
 
 
 def test_validate_cc_exceeds_cofinality():
-    b = ContextBuilder()
-    b.card("lam", regular=True).card("kap", regular=True)
-    b.chain([ALEPH1, "lam", "kap"], strict=True)
-    b.pow("lam", "aleph0")
-    ctx = b.build()
+    ctx = CardContext([("card", "lam", True), ("card", "kap", True),
+                       ("lt", ALEPH1, "lam"), ("lt", "lam", "kap"), ("pow", "lam", "aleph0")])
     r = Recipe("bad", length=("lam",), cc="kap",
                slots=(Slot(HECHLER, cofinal=True),))
     diags = validate(ctx, r)
@@ -138,11 +132,8 @@ def test_validate_cc_exceeds_cofinality():
 def test_cc_above_aleph1_moves_the_preeub_threshold():
     """Hechler is Cn-good from aleph1 on, but preEUB also needs cc <= theta,
     so with cc lam the least usable threshold is lam."""
-    b = ContextBuilder()
-    b.card("lam", regular=True).card("kap", regular=True)
-    b.chain([ALEPH1, "lam", "kap"], strict=True)
-    b.pow("kap", "aleph0")
-    ctx = b.build()
+    ctx = CardContext([("card", "lam", True), ("card", "kap", True),
+                       ("lt", ALEPH1, "lam"), ("lt", "lam", "kap"), ("pow", "kap", "aleph0")])
     r = Recipe("x", length=("kap",), cc="lam", slots=(Slot(HECHLER, cofinal=True),))
     assert validate(ctx, r) == []
     assert preeub_threshold(ctx, r, "Cn") == "lam"
@@ -156,13 +147,10 @@ def test_cc_above_aleph1_moves_the_preeub_threshold():
 def test_singular_preeub_threshold_moves_to_least_regular():
     """A class restricted below a singular mu is mu-good, so by monotonicity
     lam-good for the least regular lam above mu; the recipe must derive."""
-    b = ContextBuilder()
-    b.card("mu").card("lam", regular=True)
-    b.chain([ALEPH1, "mu", "lam"], strict=True)
-    b.pow("lam", "aleph0")
-    ctx = b.build()
+    ctx = CardContext([("card", "mu", False), ("card", "lam", True),
+                       ("lt", ALEPH1, "mu"), ("lt", "mu", "lam"), ("pow", "lam", "aleph0")])
     r = Recipe("x", length=("lam",),
-               slots=(Slot(COHEN, cofinal=True), Slot(hechler_sub("mu"))))
+               slots=(Slot(COHEN, cofinal=True), Slot(iterand("hechler_sub", "mu"))))
     assert preeub_threshold(ctx, r, "ww") == "mu"
     assert validate(ctx, r) == []
     model = run_recipe(ctx, r)
@@ -173,27 +161,24 @@ def test_singular_preeub_threshold_moves_to_least_regular():
 
 
 def test_singular_preeub_threshold_without_regular_above_is_skipped():
-    b = ContextBuilder()
-    b.card("mu").card("lam", regular=True)
-    b.lt(ALEPH1, "lam").lt(ALEPH1, "mu")  # mu and lam incomparable
-    b.pow("lam", "aleph0")
-    ctx = b.build()
+    ctx = CardContext([("card", "mu", False), ("card", "lam", True),
+                       ("lt", ALEPH1, "lam"), ("lt", ALEPH1, "mu"),  # mu and lam incomparable
+                       ("pow", "lam", "aleph0")])
     r = Recipe("x", length=("lam",),
-               slots=(Slot(COHEN, cofinal=True), Slot(hechler_sub("mu"))))
+               slots=(Slot(COHEN, cofinal=True), Slot(iterand("hechler_sub", "mu"))))
     assert validate(ctx, r) == []
     assert not any(label.startswith(("preEUB ww", "preEUB Mg"))
                    for label in run_recipe(ctx, r).trace)
 
 
 def test_repeated_bookkeeping_is_one_application():
-    b = ContextBuilder()
-    b.card("lam", regular=True).lt(ALEPH1, "lam").pow("lam", "aleph0")
-    slot = Slot(loc_sub("lam"), bookkeeping=("Lc", "lam"))
+    decls = [("card", "lam", True), ("lt", ALEPH1, "lam"), ("pow", "lam", "aleph0")]
+    slot = Slot(iterand("loc_sub", "lam"), bookkeeping=("Lc", "lam"))
     r = Recipe("x", length=("lam",), slots=(Slot(COHEN, cofinal=True), slot, slot))
-    failures = validate(b.build(), r)
+    failures = validate(CardContext(decls), r)
     assert [f for f in failures if f.startswith("itsmallsets Lc@lam")] == [
         "itsmallsets Lc@lam: bookkeeping coverage at lam needs pow_lt(lam,lam)=lam declared"]
-    ctx = b.pow_lt("lam", "lam").build()
+    ctx = CardContext(decls + [("pow_lt", "lam", "lam")])
     model = run_recipe(ctx, r)
     assert model.trace.count("itsmallsets Lc@lam") == 1
     verify(model.db)
@@ -207,8 +192,7 @@ _ATOMS = ("Lc", "Cn", "ww", "Mg")
 
 # the strategies a draw reuses, built once
 _CLASSES = (st.sampled_from(sorted(FULL_CLASSES.values(), key=lambda c: c.name))
-            | st.builds(lambda make, theta: SUB_MAKERS[make](theta),
-                        st.sampled_from(sorted(SUB_MAKERS)), st.sampled_from(_CARDS)))
+            | st.builds(iterand, st.sampled_from(sorted(SUB_PARENTS)), st.sampled_from(_CARDS)))
 _ANY_BOOKKEEPING = st.tuples(st.sampled_from(_ATOMS), st.sampled_from(_CARDS))
 
 
@@ -232,19 +216,17 @@ _SLOT_LISTS = st.lists(_slots(), min_size=1, max_size=4)
 def _recipes(draw):
     """A recipe over aleph1 < lam1 < ... < lam4, in a context that declares
     a random part of pow(a,aleph0)=a and of pow_lt(a,t)=a for lam1 <= t <= a."""
-    b = ContextBuilder()
-    for name in _NAMES:
-        b.card(name, regular=True)
-    b.chain(_CARDS, strict=True)
+    decls = ([("card", name, True) for name in _NAMES]
+             + [("lt", a, b) for a, b in zip(_CARDS, _CARDS[1:])])
     for a in _CARDS:
         if draw(st.booleans()):
-            b.pow(a, "aleph0")
+            decls.append(("pow", a, "aleph0"))
         for t in _CARDS[1:_CARDS.index(a) + 1]:
             if draw(st.booleans()):
-                b.pow_lt(a, t)
+                decls.append(("pow_lt", a, t))
     r = Recipe("random", length=tuple(draw(_LENGTHS)), cc=draw(_CCS),
                slots=tuple(draw(_SLOT_LISTS)))
-    return b.build(), r
+    return CardContext(decls), r
 
 
 @settings(max_examples=200, deadline=None)
@@ -373,11 +355,82 @@ def test_bcm_pins_r4_between_product_factors():
 
 
 def test_kst_needs_inaccessibility():
-    b = ContextBuilder()
-    for i in range(1, 6):
-        b.card(f"lam{i}", regular=True)
-    b.chain([ALEPH1] + [f"lam{i}" for i in range(1, 6)], strict=True)
-    b.pow_lt("lam2", "lam2").pow_lt("lam5", "lam4")
+    chain = [ALEPH1] + [f"lam{i}" for i in range(1, 6)]
+    decls = ([("card", n, True) for n in chain[1:]]
+             + [("lt", a, b) for a, b in zip(chain, chain[1:])])
+    decls += [("pow_lt", "lam2", "lam2"), ("pow_lt", "lam5", "lam4")]
     with pytest.raises(MissingAssumption) as err:
-        axiom_model(b.build(), "kst", tuple(f"lam{i}" for i in range(1, 6)))
+        axiom_model(CardContext(decls), "kst", tuple(f"lam{i}" for i in range(1, 6)))
     assert "inaccessible" in str(err.value)
+
+
+# aleph1 < lam1 < mu < lam2 < ... < lam7, mu singular, no arithmetic declared
+_CHAIN = [ALEPH1, "lam1", "mu"] + [f"lam{i}" for i in range(2, 8)]
+_HYP_CTX = CardContext([("card", n, n != "mu") for n in _CHAIN[1:]]
+                       + [("lt", a, b) for a, b in zip(_CHAIN, _CHAIN[1:])])
+_LAMS = tuple(f"lam{i}" for i in range(1, 8))
+
+
+def _messages(call):
+    """The failed hypotheses a validate list or a raised ForgeError names."""
+    try:
+        result = call()
+    except ForgeError as exc:
+        return str(exc).split("; ")
+    return result
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: iterand("sacks"), "unknown iterand class 'sacks'"),
+    (lambda: validate(_HYP_CTX, Recipe("x", length=("aleph0",),
+                                       slots=(Slot(HECHLER, cofinal=True),))),
+     "fullgen ww: fullgen needs uncountable cofinality"),
+    (lambda: validate(_HYP_CTX, Recipe("x", length=("aleph0",), slots=(Slot(COHEN),))),
+     "cohen-limit: cohen-limit needs uncountable cofinality"),
+    (lambda: itsmallsets(_HYP_CTX, Recipe("x", length=("lam2",)), Card("lam1"), "lam1"),
+     "itsmallsets targets a Polish atom"),
+    (lambda: validate(_HYP_CTX, Recipe("x", length=("lam2",), slots=(
+        Slot(COHEN, cofinal=True), Slot(iterand("loc_sub", "mu"), bookkeeping=("Lc", "mu"))))),
+     "itsmallsets Lc@mu: mu must be regular uncountable"),
+    (lambda: preEUB(_HYP_CTX, Recipe("x", length=("lam2",)), Card("lam1"), "lam1"),
+     "preEUB targets a Polish atom"),
+    (lambda: validate(_HYP_CTX, Recipe("x", length=("lam1",), cc="aleph0",
+                                       slots=(Slot(iterand("loc_sub", "aleph0")),))),
+     "preEUB Lc@aleph0: aleph0 must be regular uncountable"),
+    (lambda: preEUB(_HYP_CTX, Recipe("x", length=("lam2",), cc="lam2", slots=(Slot(COHEN),)),
+                    Prs("Mg"), "lam1"),
+     "need cc <= lam1"),
+    (lambda: preEUB(_HYP_CTX, Recipe("x", length=("lam1",), slots=(Slot(COHEN),)),
+                    Prs("Mg"), "lam2"),
+     "need lam2 <= |length|"),
+    (lambda: validate(_HYP_CTX, Recipe("x", length=("mu",))), "bad length: mu"),
+    (lambda: axiom_model(_HYP_CTX, "gksmax", ("aleph0",) + _LAMS[1:5]),
+     "gksmax: aleph0 must be uncountable"),
+    (lambda: axiom_model(_HYP_CTX, "gksmax", _LAMS[:5]), "gksmax: needs pow_lt(lam3,lam3)=lam3"),
+    (lambda: axiom_model(_HYP_CTX, "kst", _LAMS[:4] + ("lam4",)), "kst: need lam4 < lam4"),
+    (lambda: axiom_model(_HYP_CTX, "kst", _LAMS[:5]), "kst: needs pow_lt(lam2,lam2)=lam2"),
+    (lambda: axiom_model(_HYP_CTX, "kst", _LAMS[:5]), "kst: needs pow_lt(lam5,lam4)=lam5"),
+    (lambda: axiom_model(_HYP_CTX, "bcm", _LAMS[:6] + ("lam1",)), "bcm: need lam6 <= lam1"),
+    (lambda: axiom_model(_HYP_CTX, "bcm", _LAMS), "bcm: needs pow_lt(lam7,lam4)=lam7"),
+])
+def test_each_failed_hypothesis_is_named(call, message):
+    assert message in _messages(call)
+
+
+# aleph1 < mu < a, b < lam with a and b incomparable regulars, mu singular
+_FORK_CTX = CardContext([("card", "mu", False), ("card", "a", True), ("card", "b", True),
+                         ("card", "lam", True), ("lt", ALEPH1, "mu"), ("lt", "mu", "a"),
+                         ("lt", "mu", "b"), ("lt", "a", "lam"), ("lt", "b", "lam"),
+                         ("pow", "lam", "aleph0")])
+
+
+@pytest.mark.parametrize("small, threshold", [
+    (("a", "b"), None),  # the slots' thresholds have no maximum
+    (("mu",), "mu"),     # the regulars above the singular mu have no minimum
+])
+def test_an_unsettled_preeub_threshold_applies_no_preeub(small, threshold):
+    r = Recipe("x", length=("lam",), slots=(Slot(COHEN, cofinal=True),)
+               + tuple(Slot(iterand("hechler_sub", t)) for t in small))
+    assert preeub_threshold(_FORK_CTX, r, "ww") == threshold
+    assert not any(label.startswith("preEUB ww")
+                   for label, *_ in forge.applications(_FORK_CTX, r, "lam"))

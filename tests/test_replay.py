@@ -13,7 +13,7 @@ import pytest
 
 from cichon import forge
 from cichon.builtins import BUILTINS, builtin
-from cichon.cards import ALEPH1, ContextBuilder
+from cichon.cards import ALEPH1, CardContext
 from cichon.facts import FactDB, ReplayError, check_trace, close, replays, verify
 from cichon.systems import Card, Ideal, Prod, R4, dual
 
@@ -26,11 +26,9 @@ def derive(name):
 
 def prod_db():
     """No builtin records rule:prod-proj, so project out of a lone product."""
-    b = ContextBuilder()
-    for n in ("lam4", "lam5"):
-        b.card(n, regular=True)
-    b.chain([ALEPH1, "lam4", "lam5"], strict=True)
-    db = FactDB(b.build(), "lam5")
+    ctx = CardContext([("card", "lam4", True), ("card", "lam5", True),
+                       ("lt", ALEPH1, "lam4"), ("lt", "lam4", "lam5")])
+    db = FactDB(ctx, "lam5")
     db.add(R4, Prod((Card("lam5"), Card("lam4"))), "axiom:test", note="t")
     return close(db)
 
@@ -331,11 +329,11 @@ def test_verify_rechecks_the_plan_hypotheses():
 def test_verify_rechecks_the_recipe_hypotheses():
     """A bookkeeping slot whose class adds no Lc-dominating reals: itsmallsets
     refuses it, so the replay of the recipe's facts does too."""
-    from cichon.forge import random_sub
+    from cichon.forge import iterand
     db = derive("mod1")
     verify(db)
     recipe = db.meta["recipe"]
-    slots = tuple(dataclasses.replace(s, iterand=random_sub("lam1"))
+    slots = tuple(dataclasses.replace(s, iterand=iterand("random_sub", "lam1"))
                   if s.bookkeeping == ("Lc", "lam1") else s for s in recipe.slots)
     db.meta["recipe"] = dataclasses.replace(recipe, slots=slots)
     with pytest.raises(ReplayError, match="Lc-dominating"):
@@ -348,10 +346,7 @@ def test_verify_rechecks_the_recipe_wide_hypotheses():
     from cichon.facts import base_facts
     from cichon.forge import cohen_limit, fullgen, preEUB
     from cichon.systems import Prs
-    b = ContextBuilder()
-    b.card("lam", regular=True)
-    b.lt(ALEPH1, "lam")
-    ctx = b.build()
+    ctx = CardContext([("card", "lam", True), ("lt", ALEPH1, "lam")])
     r = builtin("hechler").recipe
     db = base_facts(ctx, "lam")
     db.meta["recipe"] = r

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cichon import systems
-from cichon.cards import ALEPH1, ContextBuilder
+from cichon.cards import ALEPH1, CardContext
 from cichon.facts import TukeyFact
 from cichon.systems import (ATOM_ALIASES, PRS_ATOMS, CIdeal, Card, CoverSys,
                             Dual, ExprError, Ideal, IdealSys, Ord, Prod, Prs,
@@ -17,12 +17,9 @@ from cichon.systems import (ATOM_ALIASES, PRS_ATOMS, CIdeal, Card, CoverSys,
 
 
 def ctx():
-    b = ContextBuilder()
-    for n in ("lam1", "lam4", "lam5"):
-        b.card(n, regular=True)
-    b.card("mu")
-    b.chain([ALEPH1, "lam1", "lam4", "lam5"], strict=True)
-    return b.build()
+    chain = [ALEPH1, "lam1", "lam4", "lam5"]
+    return CardContext([("card", n, True) for n in chain[1:]] + [("card", "mu", False)]
+                       + [("lt", a, b) for a, b in zip(chain, chain[1:])])
 
 
 def test_atom_aliases():

@@ -306,3 +306,46 @@ def test_builtin_file_takes_only_shipped_names():
     for name in ("../models/mod1", "mod1.rcp", "", "nope"):
         with pytest.raises(KeyError, match="no builtin named"):
             builtin_file(name)
+
+
+_BAD_CTX = "context { card lam regular; card mu; lt aleph1 lam; lt lam mu; }\n"
+
+
+@pytest.mark.parametrize("text,msg", [
+    ("context foo {\n}\n", "line 1: context block takes no name"),
+    ("context {\n  lt aleph1;\n}\n", "line 2: bad order declaration 'lt aleph1'"),
+    ("context {\n  assume foo(aleph1)=aleph1;\n}\n",
+     "line 2: bad assumption 'assume foo(aleph1)=aleph1'"),
+    ("context {\n  card lam regular;\n  assume pow(lam,aleph0)=aleph1;\n}\n",
+     "line 3: assumption must have the form pow(lam,aleph0)=lam"),
+    (_BAD_CTX + "recipe r {\n  length lam mu;\n}\n", "line 3: bad length 'length lam mu'"),
+    (_BAD_CTX + "recipe r {\n  length lam;\n  cc;\n}\n", "line 4: bad cc 'cc'"),
+    (_BAD_CTX + "recipe r {\n  length lam;\n  slot;\n}\n", "line 4: slot needs a class"),
+    (_BAD_CTX + "recipe r {\n  length lam;\n  slot Cohen;\n}\n",
+     "line 4: bad slot class 'Cohen'"),
+    (_BAD_CTX + "recipe r {\n  length lam;\n  slot sacks;\n}\n",
+     "line 4: unknown iterand class 'sacks'"),
+    (_BAD_CTX + "recipe r {\n  length lam;\n  slot loc_sub(lam) bookkeeping Lc lam;\n}\n",
+     "line 4: bookkeeping needs '<atom> upto <cardinal>'"),
+    (_BAD_CTX + "recipe r {\n  length lam;\n  slot loc_sub(lam) bookkeeping Xx upto lam;\n}\n",
+     "line 4: unknown system atom 'Xx'"),
+    (_BAD_CTX + "recipe r {\n  length lam;\n  slot cohen fast;\n}\n",
+     "line 4: unknown slot flag 'fast'"),
+    (_BAD_CTX + "recipe r {\n  length lam;\n  repeat;\n}\n",
+     "line 4: unknown recipe statement 'repeat'"),
+    (_BAD_CTX + "plan p {\n  base kst(lam);\n}\n", "line 3: bad base 'base kst(lam)'"),
+    (_BAD_CTX + "plan p {\n  base gksmax(lam,lam);\n}\n",
+     "line 3: base gksmax takes five cardinals"),
+    (_BAD_CTX + "plan p {\n  chain d 4 (lam, succ(mu), mu);\n}\n",
+     "line 3: succ(mu) is not declared"),
+    (_BAD_CTX + "plan p {\n  final lam;\n}\n", "line 3: bad final 'final lam'"),
+    (_BAD_CTX + "plan p {\n  stop (lam);\n}\n", "line 3: unknown plan statement 'stop (lam)'"),
+    (_BAD_CTX + "assign a {\n  addN lam;\n}\n", "line 3: bad assignment line 'addN lam'"),
+], ids=["named-context", "order", "assumption", "assumption-form", "length", "cc",
+        "slot-empty", "slot-class", "slot-unknown-class", "bookkeeping", "atom", "slot-flag",
+        "recipe-statement", "base", "base-arity", "chain-succ", "final", "plan-statement",
+        "assignment"])
+def test_each_malformed_statement_names_its_line(text, msg):
+    with pytest.raises((ParseError, UnresolvedName)) as err:
+        parse(text)
+    assert str(err.value) == msg
