@@ -102,7 +102,8 @@ class CardContext:
         succs: list[tuple[str, str]] = []
 
         for decl in self.declarations:
-            if len(decl) != 3:
+            if len(decl) != 3 or decl[0] == "card" and not (
+                    isinstance(decl[1], str) and isinstance(decl[2], bool)):
                 raise ValueError(f"bad declaration {decl!r}")
             kind, a, b = decl
             if kind == "card":

@@ -217,34 +217,31 @@ def constellation(db: FactDB) -> Constellation:
         out[b_entry] = _meet(ctx, out[b_entry], b)
         out[d_entry] = _meet(ctx, out[d_entry], d)
 
+    # every end is a name: each entry starts at [aleph1, c], and a meet with
+    # a named end keeps a named end
+    def update(entry, iv):
+        nonlocal changed
+        merged = _meet(ctx, out[entry], iv)
+        if merged != out[entry]:
+            out[entry] = merged
+            changed = True
+
     changed = True
     while changed:
         changed = False
-
-        def update(entry, iv):
-            nonlocal changed
-            merged = _meet(ctx, out[entry], iv)
-            if merged != out[entry]:
-                out[entry] = merged
-                changed = True
-
         for x, y in ARROWS:
-            if out[x].lo is not None:
-                update(y, Interval(out[x].lo, None))
-            if out[y].hi is not None:
-                update(x, Interval(None, out[y].hi))
+            update(y, Interval(out[x].lo, None))
+            update(x, Interval(None, out[y].hi))
         # add(M) = min(b, cov(M)): the arrows handle add(M) <= each, the
         # equation adds the lower half (and dually for cof(M))
         try:
-            if out["b"].lo is not None and out["covM"].lo is not None:
-                update("addM", Interval(ctx.min_of([out["b"].lo, out["covM"].lo]), None))
-            if out["d"].hi is not None and out["nonM"].hi is not None:
-                update("cofM", Interval(None, ctx.max_of([out["d"].hi, out["nonM"].hi])))
+            update("addM", Interval(ctx.min_of([out["b"].lo, out["covM"].lo]), None))
+            update("cofM", Interval(None, ctx.max_of([out["d"].hi, out["nonM"].hi])))
         except IncomparableNames:
             pass
 
     for k, iv in out.items():
-        if iv.lo is not None and iv.hi is not None and ctx.leq(iv.lo, iv.hi) is False:
+        if ctx.leq(iv.lo, iv.hi) is False:
             raise InconsistentBounds(f"{DISPLAY[k]} in {iv}")
     return out
 

@@ -349,7 +349,7 @@ def _parse_plan(name, header, body, ctx, uses) -> submodel.Plan:
     if tuple((s.kind, s.index) for s in steps) != submodel.STEP_ORDER:
         order = ", ".join(f"chain {k} {i}" if i else k for k, i in submodel.STEP_ORDER)
         raise ParseError(f"plan {name} needs its steps in the order {order}", header)
-    return submodel.Plan(name, base=base, steps=tuple(steps), final_width=final_width)
+    return submodel.Plan(name, base=base, steps=tuple(steps))
 
 
 def _parse_assign(body, uses) -> dict:

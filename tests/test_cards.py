@@ -321,6 +321,8 @@ def test_check_returns_position():
     (("le", "a", "b", "c"), "bad declaration ('le', 'a', 'b', 'c')"),
     ((), "bad declaration ()"),
     (("gt", "a", "b"), "unknown declaration kind 'gt'"),
+    (("card", "lam", "no"), "bad declaration ('card', 'lam', 'no')"),
+    (("card", 5, True), "bad declaration ('card', 5, True)"),
 ])
 def test_malformed_declaration_is_named(decl, msg):
     with pytest.raises(ValueError) as err:

@@ -326,6 +326,15 @@ def test_verify_rechecks_the_plan_hypotheses():
         verify(db)
 
 
+def test_verify_rechecks_the_plan_base():
+    db = derive("cichon_max")
+    plan = db.meta["plan"]
+    th1, th2, *rest = plan.base
+    db.meta["plan"] = dataclasses.replace(plan, base=(th2, th1, *rest))
+    with pytest.raises(ReplayError, match=re.escape("gksmax: need th2 <= th1")):
+        verify(db)
+
+
 def test_verify_rechecks_the_recipe_hypotheses():
     """A bookkeeping slot whose class adds no Lc-dominating reals: itsmallsets
     refuses it, so the replay of the recipe's facts does too."""

@@ -3,14 +3,15 @@ from dataclasses import replace
 
 import pytest
 
+from cichon import forge
 from cichon.builtins import FIG16_BOTTOM, builtin
 from cichon.cards import CardContext
 from cichon.diagram import check_assignment, pinned_values
 from cichon.facts import verify
 from cichon.forge import MissingAssumption
 from cichon.submodel import (ChainSpec, Plan, PlanOrderViolation, SubmodelError,
-                             SysState, Unpinned, format_tables, init_from_gksmax,
-                             plan_diagnostics, run_plan, step)
+                             SysState, Unpinned, format_tables, plan_diagnostics,
+                             run_plan, run_steps, step)
 from cichon.systems import Card, Prod, Prs
 
 
@@ -28,7 +29,7 @@ def result(cmax):
 
 def test_init_states(cmax):
     ctx, plan = cmax
-    states = init_from_gksmax(ctx, plan.base)
+    states = run_steps(ctx, plan).snapshots[0].states
     assert states[3] == SysState(frozenset({"th4", "thinf"}), "th4", "thinf")
     assert states[0].b == "th1" and states[0].d == "thinf"
     assert states[0].below == frozenset(ctx.regulars_between("th1", "thinf"))
@@ -36,13 +37,14 @@ def test_init_states(cmax):
 
 def test_init_missing_theta_inf(cmax):
     ctx, plan = cmax
-    with pytest.raises(MissingAssumption):
-        init_from_gksmax(ctx, ("th1", "th2", "th3", "th4", "nonexistent"))
+    bad = replace(plan, base=("th1", "th2", "th3", "th4", "nonexistent"))
+    with pytest.raises(MissingAssumption, match="context does not declare nonexistent"):
+        run_plan(ctx, bad)
 
 
 def test_first_step_collapse(cmax):
     ctx, plan = cmax
-    states = init_from_gksmax(ctx, plan.base)
+    states = run_steps(ctx, plan).snapshots[0].states
     states, _ = step(states, plan.steps[0], ctx)
     for st in states:
         assert st.b == "lam4d" and st.d == "th4"
@@ -51,7 +53,7 @@ def test_first_step_collapse(cmax):
 
 def test_second_step_product_pin(cmax):
     ctx, plan = cmax
-    states = init_from_gksmax(ctx, plan.base)
+    states = run_steps(ctx, plan).snapshots[0].states
     states, _ = step(states, plan.steps[0], ctx)
     states, notes = step(states, plan.steps[1], ctx)
     assert states[3] == SysState(frozenset({"lam4b", "lam4d"}), "lam4b", "lam4d")
@@ -62,7 +64,7 @@ def test_second_step_product_pin(cmax):
 
 def test_smaller_systems_unchanged_later(cmax):
     ctx, plan = cmax
-    states = init_from_gksmax(ctx, plan.base)
+    states = run_steps(ctx, plan).snapshots[0].states
     states, _ = step(states, plan.steps[0], ctx)
     states, _ = step(states, plan.steps[1], ctx)
     frozen4 = states[3]
@@ -170,11 +172,27 @@ def test_builtin_derive_runs_the_plan(cmax, result):
     assert model.trace == ()
 
 
+def test_plan_checks_its_base_once(cmax, monkeypatch):
+    ctx, plan = cmax
+    gksmax = forge.AXIOMS["gksmax"]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return gksmax.construct(*args)
+
+    monkeypatch.setitem(forge.AXIOMS, "gksmax", replace(gksmax, construct=counting))
+    model = run_plan(ctx, plan)
+    assert len(calls) == 1
+    verify(model.db)
+    assert len(calls) == 2
+
+
 def test_plan_order_violation(cmax):
     ctx, plan = cmax
     steps = list(plan.steps)
     steps[0], steps[1] = steps[1], steps[0]  # b-chain before d-chain
-    bad = Plan(plan.name, plan.base, tuple(steps), plan.final_width)
+    bad = Plan(plan.name, plan.base, tuple(steps))
     with pytest.raises(PlanOrderViolation):
         run_plan(ctx, bad)
 
@@ -193,7 +211,7 @@ def test_widths_must_decrease(cmax):
     steps = list(plan.steps)
     s = steps[2]  # d-chain at level 3: widen it beyond level 4's width
     steps[2] = ChainSpec(s.kind, s.index, s.length, s.closure, "thinf")
-    bad = Plan(plan.name, plan.base, tuple(steps), plan.final_width)
+    bad = Plan(plan.name, plan.base, tuple(steps))
     diags = plan_diagnostics(ctx, bad)
     assert any("strictly decrease" in d for d in diags)
 
@@ -268,14 +286,15 @@ def test_sys_state_check(cmax):
 
 def test_plan_undeclared_name(cmax):
     ctx, plan = cmax
-    bad = replace(plan, final_width="nowhere")
+    steps = plan.steps[:-1] + (replace(plan.steps[-1], width="nowhere"),)
+    bad = replace(plan, steps=steps)
     assert plan_diagnostics(ctx, bad) == ["context does not declare nowhere"]
     with pytest.raises(MissingAssumption, match="context does not declare nowhere"):
         run_plan(ctx, bad)
 
 
 @pytest.mark.parametrize("pos,change,message", [
-    (-1, dict(width="lam1d"), "final width must be the continuum target"),
+    (-1, dict(closure="th1"), "final step must be sigma-closed (closure aleph1)"),
     (0, dict(length="lamc"), "chain length lamc must be regular uncountable"),
     (0, dict(length="thinf"), "chain length thinf must sit below the width th4"),
     (0, dict(closure="thinf"), "d-chain 4: closure thinf must be succ(th4m)"),
