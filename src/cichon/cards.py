@@ -25,6 +25,8 @@ position in context order, and row i of the closure is an ``int`` bitmask:
 over the le/lt/succ edges), and ``_strict[i]`` those with names[i] <= u < v
 <= names[j] for a declared u < v.  Every order query tests bits of these
 rows; a name whose ``_strict`` row holds itself is a strict cycle.
+``_canon[i]`` is the first position equal to i as a cardinal, found once
+per name.  `diagram` picks its interval ends from these rows too.
 
 Ordinal expressions are restricted to finite products of regular
 cardinals, the only iteration lengths the engines ever build, and are held
@@ -144,6 +146,18 @@ class CardContext:
         for i, name in enumerate(self.names):
             if strict[i] >> i & 1:
                 raise OrderCycle(f"strict cycle through {name}")
+        # _canon[j]: the first position equal to j as a cardinal, that is the
+        # lowest i < j in _up[j] with j in _up[i], else j itself
+        self._canon = canon = list(range(n))
+        for j in range(n):
+            below = up[j] & ((1 << j) - 1)
+            while below:
+                low = below & -below
+                i = low.bit_length() - 1
+                if up[i] >> j & 1:
+                    canon[j] = i
+                    break
+                below ^= low
         for a, b in succs:
             first = self._succ.setdefault(a, b)
             if not self.same(first, b):
@@ -202,10 +216,9 @@ class CardContext:
         return a == b or (self.leq(a, b) is True and self.leq(b, a) is True)
 
     def canon(self, name: str) -> str:
-        """The first declared name equal to `name` as a cardinal."""
-        j = self.check(name)
-        return next(n for i, n in enumerate(self.names)
-                    if self._up[i] >> j & 1 and self._up[j] >> i & 1)
+        """The first declared name equal to `name` as a cardinal, found once
+        per name when the context is built."""
+        return self.names[self._canon[self.check(name)]]
 
     def succ_of(self, name: str) -> Optional[str]:
         self.check(name)
@@ -243,15 +256,34 @@ class CardContext:
 
         return [self.names[j] for j in sorted(pool, key=key)]
 
+    def _dominant(self, pos: Sequence[int], upper: bool) -> Optional[int]:
+        """The first of the positions `pos` that lies above (upper) or below
+        every one of them, or None if none does."""
+        up = self._up
+        if upper:
+            common = -1
+            for i in pos:
+                common &= up[i]
+            for j in pos:
+                if common >> j & 1:
+                    return j
+        else:
+            mask = 0
+            for i in pos:
+                mask |= 1 << i
+            for j in pos:
+                if up[j] & mask == mask:
+                    return j
+        return None
+
     def _extreme(self, names: Iterable[str], upper: bool) -> str:
         pool = list(dict.fromkeys(names))
         if not pool:
             raise ValueError(f"{'max' if upper else 'min'} of empty set")
-        pos = [self.check(n) for n in pool]
-        for cand, j in zip(pool, pos):
-            if all((self._up[i] >> j if upper else self._up[j] >> i) & 1 for i in pos):
-                return cand
-        raise IncomparableNames(f"no {'maximum' if upper else 'minimum'} among {pool}")
+        j = self._dominant([self.check(n) for n in pool], upper)
+        if j is None:
+            raise IncomparableNames(f"no {'maximum' if upper else 'minimum'} among {pool}")
+        return self.names[j]
 
     def max_of(self, names: Iterable[str]) -> str:
         """The <=-maximum of a set of names; IncomparableNames if none dominates."""

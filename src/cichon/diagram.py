@@ -12,7 +12,12 @@ by-rhs lists the database keeps per expression.
 
 `constellation` combines the harvested intervals with the two dependent
 equations add(M) = min(b, cov(M)) and cof(M) = max(d, non(M)) and with
-monotone propagation along the diagram arrows, to a fixpoint.
+monotone propagation along the diagram arrows, to a fixpoint.  One call
+evaluates the closed-form bounds of each distinct expression once.
+
+An interval end is a name, the first declared one of its cardinal.  The
+end of a meet is chosen by bit tests on the context positions of its
+candidates, against the context's `_up` and `_strict` rows.
 
 Comparisons that the context does not settle leave intervals wide; they
 are never guessed.
@@ -20,8 +25,7 @@ are never guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cards import ALEPH1, CardContext, IncomparableNames
 from .facts import FactDB
@@ -58,8 +62,7 @@ class InconsistentBounds(DiagramError):
     pass
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     lo: Optional[str]
     hi: Optional[str]
 
@@ -77,15 +80,23 @@ def _extreme(ctx: CardContext, names: list[str], upper: bool) -> Optional[str]:
     """Largest (upper) or least candidate, as the first declared name equal
     to it, so equal cardinals compare equal as interval endpoints; if none
     dominates the rest, the first maximal (minimal) one in context order."""
-    pool = sorted(dict.fromkeys(names), key=ctx.check)
-    if not pool:
+    pos = sorted({ctx.check(n) for n in names})
+    if not pos:
         return None
-    try:
-        best = (ctx.max_of if upper else ctx.min_of)(pool)
-    except IncomparableNames:
-        best = next(n for n in pool if not any(
-            (ctx.lt(n, m) if upper else ctx.lt(m, n)) is True for m in pool))
-    return ctx.canon(best)
+    j = ctx._dominant(pos, upper)
+    if j is None:
+        strict = ctx._strict
+        if upper:  # no candidate lies strictly above j
+            mask = 0
+            for i in pos:
+                mask |= 1 << i
+            j = next(j for j in pos if not strict[j] & mask)
+        else:  # no candidate lies strictly below j
+            above = 0
+            for i in pos:
+                above |= strict[i]
+            j = next(j for j in pos if not above >> j & 1)
+    return ctx.names[ctx._canon[j]]
 
 
 def _meet(ctx, a: Interval, b: Interval) -> Interval:
@@ -146,18 +157,36 @@ def intrinsic_bounds(ctx: CardContext, e: SysExpr) -> Optional[tuple[Interval, I
     return None
 
 
+class _Bounds(dict):
+    """`intrinsic_bounds` of each expression looked up, evaluated at the
+    first lookup.  Expressions are shared across contexts, so one of these
+    lives for one call only."""
+
+    def __init__(self, ctx: CardContext):
+        super().__init__()
+        self.ctx = ctx
+
+    def __missing__(self, e: SysExpr):
+        self[e] = out = intrinsic_bounds(self.ctx, e)
+        return out
+
+
 def value_bounds(db: FactDB, e: SysExpr) -> tuple[Interval, Interval]:
     """Intervals for the unbounding and dominating numbers of e.
 
     Requires a closed database for the harvested (atom) case, so that
     transitive consequences are materialized.
     """
+    return _value_bounds(db, e, _Bounds(db.ctx))
+
+
+def _value_bounds(db: FactDB, e: SysExpr, bounds: _Bounds) -> tuple[Interval, Interval]:
     ctx = db.ctx
-    direct = intrinsic_bounds(ctx, e)
+    direct = bounds[e]
     if direct is not None:
         return direct
     if isinstance(e, Dual):
-        b, d = value_bounds(db, e.arg)
+        b, d = _value_bounds(db, e.arg, bounds)
         return d, b
     if not db.closed:
         raise DiagramError("value_bounds on atoms needs a closed database")
@@ -165,7 +194,7 @@ def value_bounds(db: FactDB, e: SysExpr) -> tuple[Interval, Interval]:
     b_lo, b_hi, d_lo, d_hi = [ALEPH1], [db.c_name], [ALEPH1], [db.c_name]
     k = db.ids.get(e)
     for j in db.by_lhs[k] if k is not None else ():
-        val = intrinsic_bounds(ctx, db.facts[j].rhs)
+        val = bounds[db.facts[j].rhs]
         if val is not None:
             vb, vd = val
             if vb.lo is not None:
@@ -173,7 +202,7 @@ def value_bounds(db: FactDB, e: SysExpr) -> tuple[Interval, Interval]:
             if vd.hi is not None:
                 d_hi.append(vd.hi)   # d(e) <= d(rhs)
     for j in db.by_rhs[k] if k is not None else ():
-        val = intrinsic_bounds(ctx, db.facts[j].lhs)
+        val = bounds[db.facts[j].lhs]
         if val is not None:
             vb, vd = val
             if vb.hi is not None:
@@ -212,8 +241,9 @@ def constellation(db: FactDB) -> Constellation:
     ctx = db.ctx
     out: Constellation = {k: Interval(ALEPH1, db.c_name) for k in ENTRIES}
     out["c"] = Interval(db.c_name, db.c_name)
+    bounds = _Bounds(ctx)
     for atom, b_entry, d_entry in _ATOM_ENTRIES:
-        b, d = value_bounds(db, atom)
+        b, d = _value_bounds(db, atom, bounds)
         out[b_entry] = _meet(ctx, out[b_entry], b)
         out[d_entry] = _meet(ctx, out[d_entry], d)
 
@@ -263,8 +293,7 @@ def format_constellation(cons: Constellation) -> str:
 # assignment checking
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str     # 'arrow' | 'equation' | 'floor' | 'ceiling'
     detail: str
 

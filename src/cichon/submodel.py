@@ -189,7 +189,8 @@ def plan_diagnostics(ctx: CardContext, p: Plan) -> list[str]:
     if got != STEP_ORDER:
         raise PlanOrderViolation(f"steps {got} are not the canonical order {STEP_ORDER}")
 
-    for name in p.base + (p.final_width,):
+    held = [n for s in p.steps for n in (s.width, s.length, s.closure) if n is not None]
+    for name in p.base + tuple(held):
         if not ctx.has(name):
             diags.append(f"context does not declare {name}")
             return diags

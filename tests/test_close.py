@@ -9,7 +9,10 @@ every field of every fact in the same order, and stay inside the bound
 may intern from the database before closing, independently of `close`.
 
 `scan_value_bounds` is `diagram.value_bounds` as it was written before it
-read the database's by-lhs/by-rhs lists: one scan of every fact per atom."""
+read the database's by-lhs/by-rhs lists: one scan of every fact per atom,
+each end picked by `name_extreme`, the name-level `diagram._extreme` that
+sorted names and scanned for the first equal one before ends were picked
+by bit tests on context positions."""
 
 import random
 from collections import deque
@@ -19,12 +22,14 @@ from hypothesis import given, settings
 
 from cichon import facts, forge, submodel
 from cichon.builtins import BUILTINS, builtin
-from cichon.cards import ALEPH0, ALEPH1, CardContext
+from cichon.cards import (ALEPH0, ALEPH1, BadSuccessor, CardContext, IncomparableNames,
+                          OrderCycle)
 from cichon.diagram import (DiagramError, InconsistentBounds, Interval, _extreme,
                             intrinsic_bounds, value_bounds)
 from cichon.facts import EXPR_RULES, FactDB, base_facts, cideal_mono, close
 from cichon.systems import (CIdeal, Card, CoverSys, Dual, Ideal, IdealSys, Ord, Prod,
                             Prs, R3, dual, render, subexpressions)
+from test_cards import _random_decls
 from test_forge import _recipes
 
 
@@ -287,6 +292,44 @@ def test_derive_validates_each_interned_expression_once(monkeypatch):
 # the index against a scan
 # ---------------------------------------------------------------------------
 
+def name_extreme(ctx: CardContext, names: list, upper: bool):
+    pool = sorted(dict.fromkeys(names), key=ctx.check)
+    if not pool:
+        return None
+    try:
+        best = (ctx.max_of if upper else ctx.min_of)(pool)
+    except IncomparableNames:
+        best = next(n for n in pool if not any(
+            (ctx.lt(n, m) if upper else ctx.lt(m, n)) is True for m in pool))
+    return next(n for n in ctx.names if ctx.leq(n, best) is True and ctx.leq(best, n) is True)
+
+
+def test_extreme_matches_name_extreme():
+    """On the random orders of `test_cards`, with le cycles, aliases and
+    incomparable pools, repeats included."""
+    rng = random.Random(2026)
+    built = fallbacks = 0
+    for _ in range(300):
+        decls = _random_decls(rng)
+        try:
+            ctx = CardContext(decls)
+        except OrderCycle:
+            continue
+        except BadSuccessor:
+            ctx = CardContext([("lt", *d[1:]) if d[0] == "succ" else d for d in decls])
+        built += 1
+        for _ in range(10):
+            pool = rng.choices(ctx.names, k=rng.randint(0, 5))
+            for upper in (True, False):
+                assert _extreme(ctx, pool, upper) == name_extreme(ctx, pool, upper), (
+                    decls, pool, upper)
+            try:
+                ctx.max_of(pool), ctx.min_of(pool)
+            except (IncomparableNames, ValueError):
+                fallbacks += bool(pool)
+    assert built >= 240 and fallbacks >= 1000, (built, fallbacks)
+
+
 def scan_value_bounds(db: FactDB, e):
     ctx = db.ctx
     direct = intrinsic_bounds(ctx, e)
@@ -316,8 +359,8 @@ def scan_value_bounds(db: FactDB, e):
                     b_hi.append(vb.hi)
                 if vd.lo is not None:
                     d_lo.append(vd.lo)
-    b = Interval(_extreme(ctx, b_lo, upper=True), _extreme(ctx, b_hi, upper=False))
-    d = Interval(_extreme(ctx, d_lo, upper=True), _extreme(ctx, d_hi, upper=False))
+    b = Interval(name_extreme(ctx, b_lo, upper=True), name_extreme(ctx, b_hi, upper=False))
+    d = Interval(name_extreme(ctx, d_lo, upper=True), name_extreme(ctx, d_hi, upper=False))
     for iv, what in ((b, "b"), (d, "d")):
         if iv.lo is not None and iv.hi is not None and ctx.leq(iv.lo, iv.hi) is False:
             raise InconsistentBounds(f"{what}({render(e)}) in {iv}")

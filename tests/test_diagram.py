@@ -1,5 +1,7 @@
 import pytest
 
+from cichon import diagram
+from cichon.builtins import BUILTINS, builtin
 from cichon.cards import ALEPH1, CONTINUUM, CardContext
 from cichon.diagram import (ARROWS, ENTRIES, InconsistentBounds, Interval,
                             _extreme, check_assignment, constellation,
@@ -111,6 +113,55 @@ def test_check_assignment_accepts_and_rejects():
     assert any(v.kind == "arrow" for v in check_assignment(ctx, bad2))
     bad3 = dict(good, addN="aleph0")
     assert any(v.kind == "floor" for v in check_assignment(ctx, bad3))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_constellation_bounds_each_expression_once(monkeypatch, name):
+    """One call evaluates `intrinsic_bounds` at top level (not from inside
+    itself) at most once per distinct expression."""
+    db = builtin(name).derive().db
+    want = constellation(db)
+    calls, depth = [], [0]
+    original = diagram.intrinsic_bounds
+
+    def counting(ctx, e):
+        if not depth[0]:
+            calls.append(e)
+        depth[0] += 1
+        try:
+            return original(ctx, e)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(diagram, "intrinsic_bounds", counting)
+    assert constellation(db) == want
+    assert calls and len(calls) == len(set(calls))
+
+
+def test_constellation_bounds_do_not_leak_across_contexts():
+    """C[a<t] is one object in both contexts; its d is pinned to a only
+    where t is regular, so the harvested lower end of d must differ."""
+    def closed(regular):
+        ctx = CardContext([("card", "a", False), ("card", "t", regular),
+                           ("lt", ALEPH1, "t"), ("le", "t", "a"), ("le", "a", CONTINUUM)])
+        db = base_facts(ctx, CONTINUUM)
+        db.add(CIdeal("a", "t"), R3, "axiom:test", note="t")
+        return close(db)
+
+    regular, singular = closed(True), closed(False)
+    assert intrinsic_bounds(regular.ctx, CIdeal("a", "t"))[1] == Interval("a", "a")
+    assert intrinsic_bounds(singular.ctx, CIdeal("a", "t"))[1] == Interval(None, "a")
+    for db, d in ((regular, Interval("a", CONTINUUM)), (singular, Interval(ALEPH1, CONTINUUM)),
+                  (regular, Interval("a", CONTINUUM))):
+        assert constellation(db)["d"] == d
+
+
+def test_violation_prints_kind_and_detail():
+    v = check_assignment(five_ctx(), dict(
+        addN="lam1", covN="lam2", addM="lam1", b="lam3", covM="lam4", nonM="lam4",
+        d="lam5", cofM="lam5", nonN="lam5", cofN="lam5", c="lam5"))
+    assert [str(x) for x in v] == ["equation: add(M)=lam1 != min(b, cov(M))=lam3"]
+    assert v[0] == diagram.Violation("equation", "add(M)=lam1 != min(b, cov(M))=lam3")
 
 
 def test_check_assignment_missing_entries():

@@ -1,6 +1,12 @@
-"""Layering guard: `cichon.builtins` fills its table from every shipped
-model file at import, so no other module of the package may import it.
-`textfmt.builtin_file` is the one map from a shipped name to its file."""
+"""Layering guards.
+
+`cichon.builtins` fills its table from every shipped model file at import,
+so no other module of the package may import it.  `textfmt.builtin_file` is
+the one map from a shipped name to its file.
+
+`diagram.py` holds its records as `NamedTuple`s and imports no
+`dataclasses`: a step towards a CLI call that does not load that module,
+which costs more to import than `cichon.finite` itself (ROADMAP item 3)."""
 
 import ast
 import glob
@@ -58,3 +64,15 @@ def test_the_guard_sees_every_spelling(tmp_path):
     found = offenders(sorted(tmp_path.glob("*.py")))
     assert sorted(found) == sorted(f"m{i}.py:{1 + t.count(chr(10))}"
                                    for i, t in enumerate(spellings))
+
+
+def test_diagram_imports_no_dataclasses():
+    path = os.path.join(PACKAGE, "diagram.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Import) and any(
+                 a.name.split(".")[0] == "dataclasses" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and not node.level
+             and (node.module or "").split(".")[0] == "dataclasses"]
+    assert found == []

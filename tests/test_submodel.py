@@ -284,10 +284,15 @@ def test_sys_state_check(cmax):
         SysState(frozenset(), "th3", "th2").check(ctx)
 
 
-def test_plan_undeclared_name(cmax):
+@pytest.mark.parametrize("pos,field", [(-1, "width"), (0, "width"), (0, "length"),
+                                       (3, "length"), (1, "closure"), (-1, "closure")])
+def test_plan_undeclared_name(cmax, pos, field):
+    """Every name a step holds is checked against the context before any
+    step hypothesis reads it."""
     ctx, plan = cmax
-    steps = plan.steps[:-1] + (replace(plan.steps[-1], width="nowhere"),)
-    bad = replace(plan, steps=steps)
+    steps = list(plan.steps)
+    steps[pos] = replace(steps[pos], **{field: "nowhere"})
+    bad = replace(plan, steps=tuple(steps))
     assert plan_diagnostics(ctx, bad) == ["context does not declare nowhere"]
     with pytest.raises(MissingAssumption, match="context does not declare nowhere"):
         run_plan(ctx, bad)
