@@ -18,6 +18,10 @@ Nothing is ever computed from cardinal arithmetic: assumptions are looked
 up (with monotone weakening, e.g. a^{<b} = a yields a^{<b'} = a for
 b' <= b), never derived.  Comparisons are tri-state: queries that the
 declared order does not settle come back as ``None`` rather than failing.
+That holds for `greatest` and `least` too, the first name above (below)
+all the others of a pool.  `max_of` and `min_of` are the same extremes
+raising `IncomparableNames` instead, for the callers that report the
+undecided pool (`card`, and a submodel step).
 
 The order is closed once, when the context is built.  Each name has its
 position in context order, and row i of the closure is an ``int`` bitmask:
@@ -276,14 +280,25 @@ class CardContext:
                     return j
         return None
 
+    def greatest(self, names: Iterable[str]) -> Optional[str]:
+        """The first name lying above all the others; None if there is no
+        name, or if the declared order does not settle one."""
+        j = self._dominant([self.check(n) for n in dict.fromkeys(names)], upper=True)
+        return None if j is None else self.names[j]
+
+    def least(self, names: Iterable[str]) -> Optional[str]:
+        """The first name lying below all the others, else None."""
+        j = self._dominant([self.check(n) for n in dict.fromkeys(names)], upper=False)
+        return None if j is None else self.names[j]
+
     def _extreme(self, names: Iterable[str], upper: bool) -> str:
         pool = list(dict.fromkeys(names))
         if not pool:
             raise ValueError(f"{'max' if upper else 'min'} of empty set")
-        j = self._dominant([self.check(n) for n in pool], upper)
-        if j is None:
+        best = self.greatest(pool) if upper else self.least(pool)
+        if best is None:
             raise IncomparableNames(f"no {'maximum' if upper else 'minimum'} among {pool}")
-        return self.names[j]
+        return best
 
     def max_of(self, names: Iterable[str]) -> str:
         """The <=-maximum of a set of names; IncomparableNames if none dominates."""

@@ -12,7 +12,9 @@ by-rhs lists the database keeps per expression.
 
 `constellation` combines the harvested intervals with the two dependent
 equations add(M) = min(b, cov(M)) and cof(M) = max(d, non(M)) and with
-monotone propagation along the diagram arrows, to a fixpoint.  One call
+monotone propagation along the diagram arrows, to a fixpoint.  Each
+equation, and each end of a product's bounds, settles on its own: one the
+order does not decide stays open without widening the others.  One call
 evaluates the closed-form bounds of each distinct expression once.
 
 An interval end is a name, the first declared one of its cardinal.  The
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .cards import ALEPH1, CardContext, IncomparableNames
+from .cards import ALEPH1, CardContext
 from .facts import FactDB
 from .systems import (CIdeal, Card, Dual, Ideal, IdealSys, Ord, Prod, Prs,
                       SysExpr, render)
@@ -141,18 +143,14 @@ def intrinsic_bounds(ctx: CardContext, e: SysExpr) -> Optional[tuple[Interval, I
         if any(p is None for p in parts):
             return None
         b_los = [p[0].lo for p in parts]
-        b_his = [p[0].hi for p in parts if p[0].hi is not None]
-        d_los = [p[1].lo for p in parts if p[1].lo is not None]
         d_his = [p[1].hi for p in parts]
-        try:
-            # b of a product is the exact min; d is squeezed between the max
-            # of the factors and their (cardinal, hence max) product
-            b_lo = ctx.min_of(b_los) if all(x is not None for x in b_los) else None
-            b_hi = ctx.min_of(b_his) if b_his else None
-            d_lo = ctx.max_of(d_los) if d_los else None
-            d_hi = ctx.max_of(d_his) if all(x is not None for x in d_his) else None
-        except IncomparableNames:
-            return None
+        # b of a product is the exact min; d is squeezed between the max of
+        # the factors and their (cardinal, hence max) product.  Each end is
+        # None where the order does not settle it.
+        b_lo = None if None in b_los else ctx.least(b_los)
+        b_hi = ctx.least(p[0].hi for p in parts if p[0].hi is not None)
+        d_lo = ctx.greatest(p[1].lo for p in parts if p[1].lo is not None)
+        d_hi = None if None in d_his else ctx.greatest(d_his)
         return Interval(b_lo, b_hi), Interval(d_lo, d_hi)
     return None
 
@@ -263,12 +261,10 @@ def constellation(db: FactDB) -> Constellation:
             update(y, Interval(out[x].lo, None))
             update(x, Interval(None, out[y].hi))
         # add(M) = min(b, cov(M)): the arrows handle add(M) <= each, the
-        # equation adds the lower half (and dually for cof(M))
-        try:
-            update("addM", Interval(ctx.min_of([out["b"].lo, out["covM"].lo]), None))
-            update("cofM", Interval(None, ctx.max_of([out["d"].hi, out["nonM"].hi])))
-        except IncomparableNames:
-            pass
+        # equation adds the lower half (and dually for cof(M)); an equation
+        # the order does not settle adds nothing
+        update("addM", Interval(ctx.least([out["b"].lo, out["covM"].lo]), None))
+        update("cofM", Interval(None, ctx.greatest([out["d"].hi, out["nonM"].hi])))
 
     for k, iv in out.items():
         if ctx.leq(iv.lo, iv.hi) is False:
@@ -319,18 +315,13 @@ def check_assignment(ctx: CardContext, assignment: dict[str, str]) -> list[Viola
             out.append(Violation("floor", f"aleph1 <= {DISPLAY[k]}={v} not derivable"))
         if k != "c" and ctx.leq(v, assignment["c"]) is not True:
             out.append(Violation("ceiling", f"{DISPLAY[k]}={v} <= c={assignment['c']} not derivable"))
-    try:
-        want = ctx.min_of([assignment["b"], assignment["covM"]])
-        if ctx.leq(assignment["addM"], want) is not True or ctx.leq(want, assignment["addM"]) is not True:
-            out.append(Violation("equation", f"add(M)={assignment['addM']} != min(b, cov(M))={want}"))
-    except IncomparableNames:
-        out.append(Violation("equation", "min(b, cov(M)) is not determined by the order"))
-    try:
-        want = ctx.max_of([assignment["d"], assignment["nonM"]])
-        if ctx.leq(assignment["cofM"], want) is not True or ctx.leq(want, assignment["cofM"]) is not True:
-            out.append(Violation("equation", f"cof(M)={assignment['cofM']} != max(d, non(M))={want}"))
-    except IncomparableNames:
-        out.append(Violation("equation", "max(d, non(M)) is not determined by the order"))
+    for k, want, what in (
+            ("addM", ctx.least([assignment["b"], assignment["covM"]]), "min(b, cov(M))"),
+            ("cofM", ctx.greatest([assignment["d"], assignment["nonM"]]), "max(d, non(M))")):
+        if want is None:
+            out.append(Violation("equation", f"{what} is not determined by the order"))
+        elif not ctx.same(assignment[k], want):
+            out.append(Violation("equation", f"{DISPLAY[k]}={assignment[k]} != {what}={want}"))
     return out
 
 

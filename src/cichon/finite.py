@@ -453,7 +453,8 @@ def format_finsys(R: FinSys) -> str:
 
 
 def parse_finideal(text: str) -> FinIdeal:
-    """First line the ground size, then one subset per line as sorted indices."""
+    """First line the ground size, then one subset per line as sorted
+    indices; a blank line is the empty set."""
     raw = [ln for ln in text.splitlines() if not ln.lstrip().startswith("#")]
     raw = [ln.strip() for ln in raw]
     if not raw or not _nat(raw[0]):
@@ -461,12 +462,10 @@ def parse_finideal(text: str) -> FinIdeal:
     n = int(raw[0])
     sets = []
     for ln in raw[1:]:
-        if not ln:
-            sets.append(())  # the empty set
-            continue
-        if not all(_nat(tok) for tok in ln.split()):
+        toks = ln.split()
+        if not all(_nat(tok) for tok in toks):
             raise BadParameters(f"bad member line {ln!r}")
-        sets.append(tuple(int(tok) for tok in ln.split()))
+        sets.append(tuple(map(int, toks)))
     return FinIdeal.from_sets(n, sets)
 
 

@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .cards import ALEPH1, CardContext, CardError, IncomparableNames
+from .cards import ALEPH1, CardContext, CardError
 from .diagram import Constellation, constellation
 from .facts import (FactDB, _expect, base_facts, card_embed, close, replays,
                     replays_source)
@@ -280,13 +280,8 @@ def preeub_threshold(ctx: CardContext, r: Recipe, atom: str) -> Optional[str]:
     """Least theta >= cc at which every slot class is theta-atom-good, if the
     declared order settles it.  Goodness is monotone in theta, so that is the
     maximum of cc and each slot's least threshold."""
-    thresholds = [slot.iterand.good_thresholds(atom) for slot in r.slots]
-    if not all(thresholds):
-        return None
-    try:
-        return ctx.max_of([ctx.min_of(ts) for ts in thresholds] + [r.cc])
-    except IncomparableNames:
-        return None
+    lows = [ctx.least(slot.iterand.good_thresholds(atom)) for slot in r.slots]
+    return None if None in lows else ctx.greatest(lows + [r.cc])
 
 
 def applications(ctx: CardContext, r: Recipe, forced: str) -> list[tuple]:
@@ -301,11 +296,8 @@ def applications(ctx: CardContext, r: Recipe, forced: str) -> list[tuple]:
         theta = preeub_threshold(ctx, r, atom)
         if theta is not None and not ctx.is_regular(theta):
             # goodness is monotone in theta: use the least regular above it
-            regulars = ctx.regulars_between(theta, forced)
-            try:
-                theta = ctx.min_of(regulars) if regulars else None
-            except IncomparableNames:  # the order does not settle the least one
-                theta = None
+            # (None if the order does not settle the least one)
+            theta = ctx.least(ctx.regulars_between(theta, forced))
         if theta is not None and ctx.leq(theta, forced) is True:
             apps.append((f"preEUB {atom}@{theta}", preEUB, (Prs(atom), theta), (atom, theta)))
     return apps

@@ -335,3 +335,46 @@ def test_declarations_may_come_from_a_generator():
     ctx = CardContext(d for d in decls)
     assert ctx.declarations == tuple(decls)
     assert ctx.has("lam") and ctx.lt(ALEPH1, "lam") is True
+
+
+def test_greatest_and_least_are_none_where_max_of_and_min_of_raise():
+    """On the random orders above, repeats allowed: the same name as
+    `max_of`/`min_of` and the pair-set reference, and None exactly where
+    the raising call fails, on an empty or an undecided pool."""
+    rng = random.Random(2027)
+    built = undecided = 0
+    for _ in range(300):
+        decls = _random_decls(rng)
+        ref = _Reference(decls)
+        if ref.cycle:
+            continue
+        if ref.bad_succ:
+            decls = [("lt", *d[1:]) if d[0] == "succ" else d for d in decls]
+            ref = _Reference(decls)
+        ctx = CardContext(decls)
+        built += 1
+        for _ in range(10):
+            pool = rng.choices(ctx.names, k=rng.randint(0, 5))
+            for upper, ask, raising in ((True, ctx.greatest, ctx.max_of),
+                                        (False, ctx.least, ctx.min_of)):
+                try:
+                    want = raising(pool)
+                except (IncomparableNames, ValueError):
+                    want = None
+                    undecided += bool(pool)
+                assert ask(pool) == want == ref.extreme(pool, upper), (decls, pool, upper)
+    assert built >= 240 and undecided >= 1000, (built, undecided)
+
+
+def test_greatest_and_least_on_small_pools():
+    ctx = CardContext([("card", "a", True), ("card", "b", True), ("card", "a2", False),
+                       ("lt", ALEPH1, "a"), ("lt", ALEPH1, "b"),
+                       ("le", "a", "a2"), ("le", "a2", "a")])
+    assert ctx.greatest([]) is None and ctx.least(iter(())) is None
+    assert ctx.greatest(["a", "b"]) is None and ctx.least(["b", "a"]) is None
+    assert ctx.greatest([ALEPH1, "b", ALEPH0]) == "b"
+    assert ctx.least(["b", ALEPH1, "a"]) == ALEPH1
+    # equal cardinals: the first of them in the pool, not the first declared
+    assert ctx.greatest(["a2", "a"]) == "a2" and ctx.least(["a", "a2"]) == "a"
+    with pytest.raises(UnknownName):
+        ctx.greatest(["nowhere"])

@@ -3,13 +3,13 @@ import pytest
 from cichon import diagram
 from cichon.builtins import BUILTINS, builtin
 from cichon.cards import ALEPH1, CONTINUUM, CardContext
-from cichon.diagram import (ARROWS, ENTRIES, InconsistentBounds, Interval,
-                            _extreme, check_assignment, constellation,
+from cichon.diagram import (ARROWS, ENTRIES, DiagramError, InconsistentBounds,
+                            Interval, _extreme, check_assignment, constellation,
                             format_constellation, intrinsic_bounds,
                             pinned_values, to_dot, value_bounds)
-from cichon.facts import base_facts, close, replays
-from cichon.systems import (CIdeal, Card, Ideal, Ord, Prod, R1, R2, R3, R4,
-                            dual)
+from cichon.facts import base_facts, close, replays, seed_facts
+from cichon.systems import (CIdeal, Card, CoverSys, Dual, Ideal, IdealSys, Ord,
+                            Prod, R1, R2, R3, R4, dual)
 
 replays("axiom:test")(lambda ctx, facts, fid, f: None)
 
@@ -115,6 +115,72 @@ def test_check_assignment_accepts_and_rejects():
     assert any(v.kind == "floor" for v in check_assignment(ctx, bad3))
 
 
+def test_seed_edges_are_the_diagram_arrows():
+    """`facts.seed_facts` and `ARROWS` state the diagram twice.  Read each
+    seed:diagram edge lhs <= rhs as d(lhs) <= d(rhs), where d of a system
+    is one entry (or the aleph1 floor) and d of its dual is its b."""
+    ctx = lam_ctx()
+    entries = {  # system -> (its b, its d)
+        IdealSys("N"): ("addN", "cofN"), IdealSys("M"): ("addM", "cofM"),
+        CoverSys("N"): ("nonN", "covN"), CoverSys("M"): ("nonM", "covM"),
+        R3: ("b", "d"), CIdeal("lam", ALEPH1): ("aleph1", "c")}
+
+    def d(e):
+        return entries[e.arg][0] if isinstance(e, Dual) else entries[e][1]
+
+    edges = [(d(a), d(b)) for a, b, rule, _, _ in seed_facts(ctx, "lam")
+             if rule == "seed:diagram"]
+    assert len(edges) == len(set(edges)) == len(ARROWS) + 1
+    assert set(edges) == set(ARROWS) | {("aleph1", "addN")}
+
+
+def fork_ctx():
+    """a and e incomparable regulars, both below m < top = the continuum."""
+    return CardContext([("card", "a", True), ("card", "e", True), ("card", "m", False),
+                        ("card", "top", False), ("lt", ALEPH1, "a"), ("lt", ALEPH1, "e"),
+                        ("lt", "a", "m"), ("lt", "e", "m"), ("lt", "m", "top"),
+                        ("pow", "top", "aleph0")])
+
+
+def test_each_equation_settles_on_its_own():
+    """b >= a and cov(M) >= e leave min(b, cov(M)) undecided, but
+    max(d, non(M)) <= m is decided and still bounds cof(M)."""
+    ctx = fork_ctx()
+    db = base_facts(ctx, "top")
+    db.add(R3, CIdeal("m", "a"), "axiom:test", note="t")          # b >= a, d <= m
+    db.add(dual(CIdeal("m", "e")), R4, "axiom:test", note="t")    # cov(M) >= e, non(M) <= m
+    cons = constellation(close(db))
+    assert (cons["b"], cons["covM"]) == (Interval("a", "m"), Interval("e", "m"))
+    assert cons["addM"] == Interval(ALEPH1, "m")
+    assert cons["cofM"] == Interval("a", "m")
+
+
+def test_each_end_of_a_product_settles_on_its_own():
+    """The least of a and e is undecided; the greatest of a, e and m is m."""
+    ctx = fork_ctx()
+    b, d = intrinsic_bounds(ctx, Prod((Card("a"), Card("e"), Card("m"))))
+    assert b == Interval(None, None)
+    assert d == Interval("m", "m")
+
+
+def test_check_assignment_equations_the_order_does_not_determine():
+    ctx = fork_ctx()
+    both = dict(addN="a", covN="a", addM="a", b="a", covM="e", nonM="e", d="a",
+                cofM="m", nonN="m", cofN="m", c="top")
+    assert [str(v) for v in check_assignment(ctx, both) if v.kind == "equation"] == [
+        "equation: min(b, cov(M)) is not determined by the order",
+        "equation: max(d, non(M)) is not determined by the order"]
+    wrong = dict(both, covM="m", nonM="a", d="m", cofM="top")
+    assert [str(v) for v in check_assignment(ctx, wrong) if v.kind == "equation"] == [
+        "equation: cof(M)=top != max(d, non(M))=m"]
+
+
+def test_constellation_needs_a_closed_database():
+    db = base_facts(lam_ctx(), "lam")
+    with pytest.raises(DiagramError, match="closed database"):
+        constellation(db)
+
+
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_constellation_bounds_each_expression_once(monkeypatch, name):
     """One call evaluates `intrinsic_bounds` at top level (not from inside
@@ -165,7 +231,6 @@ def test_violation_prints_kind_and_detail():
 
 
 def test_check_assignment_missing_entries():
-    from cichon.diagram import DiagramError
     ctx = five_ctx()
     with pytest.raises(DiagramError) as err:
         check_assignment(ctx, {"addN": "lam1"})
@@ -173,7 +238,6 @@ def test_check_assignment_missing_entries():
 
 
 def test_pinned_values_raises_on_gaps():
-    from cichon.diagram import DiagramError
     ctx = CardContext([])
     db = close(base_facts(ctx, CONTINUUM))
     with pytest.raises(DiagramError):

@@ -10,7 +10,7 @@ from cichon.finite import (TOP, BadParameters, FinIdeal, FinSys, NotPreorder,
                            bounded_below, compose, d_num, d_num_brute, dual,
                            format_finideal, format_finsys, from_preorder,
                            ideal_systems, identity_system, le_system,
-                           parse_finideal, parse_finsys, product,
+                           min_cover, parse_finideal, parse_finsys, product,
                            small_sets_ideal, swap, systems_of_ideal,
                            tukey_search)
 
@@ -260,6 +260,35 @@ def test_ideal_validation():
     assert 0 in ok.members
 
 
+def test_finsys_input_checks():
+    with pytest.raises(BadParameters, match="^row count does not match x_size$"):
+        FinSys(2, 2, (0b01,))
+    with pytest.raises(BadParameters, match="^row mask exceeds y_size$"):
+        FinSys(1, 2, (0b100,))
+    with pytest.raises(BadParameters, match="^ragged relation matrix$"):
+        FinSys.from_matrix([[1, 0], [1]])
+
+
+def test_finideal_input_checks():
+    with pytest.raises(BadParameters, match="^ground set must be non-empty$"):
+        FinIdeal(0, (0,))
+    with pytest.raises(BadParameters, match=r"^singleton \{1\} missing from ideal$"):
+        FinIdeal(2, (0, 0b01))
+    with pytest.raises(BadParameters, match="^member exceeds ground set$"):
+        FinIdeal(1, (0, 0b01, 0b10))
+    with pytest.raises(BadParameters, match="^ideal is not downward closed$"):
+        FinIdeal(3, (0, 0b001, 0b010, 0b100, 0b111))
+
+
+def test_from_sets_closes_downward():
+    ideal = FinIdeal.from_sets(3, [(0, 1, 2)])
+    assert ideal.members == (0, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111)
+
+
+def test_min_cover_of_nothing_is_zero():
+    assert min_cover(0, []) == 0
+
+
 def test_trivial_ideal_morphisms_give_figure1():
     # C_I <= I and dual(C_I) <= I, so add <= non, add <= cov, cov <= cof, non <= cof
     from cichon.finite import TukeyMorphism
@@ -323,6 +352,8 @@ def test_empty_matrix_is_bad_parameters():
 
 
 def test_not_preorder_rejected():
+    with pytest.raises(NotPreorder, match="^relation must be square$"):
+        from_preorder([[1, 1], [1]])
     with pytest.raises(NotPreorder):
         from_preorder([[0, 0], [0, 1]])
     with pytest.raises(NotPreorder):
@@ -370,6 +401,11 @@ def test_finideal_round_trip():
     assert parse_finideal(format_finideal(I)) == I
     i_sys, c_sys = systems_of_ideal(I)
     assert b_num(c_sys) == 3 and d_num(c_sys) == 2
+
+
+def test_finideal_blank_member_line_is_the_empty_set():
+    assert parse_finideal("2\n\n0 1\n") == FinIdeal.from_sets(2, [(0, 1)])
+    assert parse_finideal("2\n  \n") == FinIdeal.from_sets(2, [])
 
 
 def test_non_ascii_digits_are_bad_parameters(tmp_path, capsys):

@@ -6,7 +6,13 @@ the one map from a shipped name to its file.
 
 `diagram.py` holds its records as `NamedTuple`s and imports no
 `dataclasses`: a step towards a CLI call that does not load that module,
-which costs more to import than `cichon.finite` itself (ROADMAP item 3)."""
+which costs more to import than `cichon.finite` itself (ROADMAP item 3).
+
+Only `cards.py` and `submodel.py` name `IncomparableNames`: `cards` raises
+it and reports it for an ordinal, a submodel step reports the undecided
+pool.  Every other extreme asks `CardContext.greatest` or `least`, which
+answer None where the order does not settle one, so no extreme elsewhere
+needs a `try`."""
 
 import ast
 import glob
@@ -76,3 +82,49 @@ def test_diagram_imports_no_dataclasses():
              or isinstance(node, ast.ImportFrom) and not node.level
              and (node.module or "").split(".")[0] == "dataclasses"]
     assert found == []
+
+
+RAISERS = ("cards.py", "submodel.py")
+
+
+def _names_incomparable(node) -> bool:
+    """Whether NODE imports, catches or otherwise names IncomparableNames."""
+    return (isinstance(node, ast.alias) and node.name.split(".")[-1] == "IncomparableNames"
+            or isinstance(node, ast.Name) and node.id == "IncomparableNames"
+            or isinstance(node, ast.Attribute) and node.attr == "IncomparableNames")
+
+
+def incomparable_offenders(paths) -> list[str]:
+    out = []
+    for path in paths:
+        if os.path.basename(path) in RAISERS:
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        out += sorted({f"{os.path.basename(path)}:{node.lineno}" for node in ast.walk(tree)
+                       if _names_incomparable(node)})
+    return out
+
+
+def test_only_cards_and_submodel_name_incomparable_names():
+    paths = sorted(glob.glob(os.path.join(PACKAGE, "*.py")))
+    assert {os.path.basename(p) for p in paths} >= set(RAISERS)
+    assert incomparable_offenders(paths) == []
+
+
+def test_the_incomparable_guard_sees_every_spelling(tmp_path):
+    spellings = {  # text -> the line that names it
+        "from .cards import IncomparableNames": 1,
+        "from .cards import CardContext, IncomparableNames as Undecided": 1,
+        "from cichon.cards import IncomparableNames": 1,
+        "from . import cards\ntry:\n    pass\nexcept cards.IncomparableNames:\n    pass": 4,
+        "import cichon.cards\nx = cichon.cards.IncomparableNames": 2,
+        "try:\n    pass\nexcept (ValueError, IncomparableNames):\n    pass": 3}
+    for i, text in enumerate(spellings):
+        (tmp_path / f"m{i}.py").write_text(text + "\n")
+    (tmp_path / "ok.py").write_text("from .cards import CardContext, IncomparableFactors\n"
+                                    "x = 'IncomparableNames'\n")
+    for name in RAISERS:
+        (tmp_path / name).write_text("from .cards import IncomparableNames\n")
+    found = incomparable_offenders(sorted(tmp_path.glob("*.py")))
+    assert found == [f"m{i}.py:{line}" for i, line in enumerate(spellings.values())]

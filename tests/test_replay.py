@@ -14,7 +14,8 @@ import pytest
 from cichon import forge
 from cichon.builtins import BUILTINS, builtin
 from cichon.cards import ALEPH1, CardContext
-from cichon.facts import FactDB, ReplayError, check_trace, close, replays, verify
+from cichon.facts import (FactDB, FactError, ReplayError, check_trace, close, replays,
+                          verify)
 from cichon.systems import Card, Ideal, Prod, R4, dual
 
 replays("axiom:test")(lambda ctx, facts, fid, f: None)
@@ -93,6 +94,42 @@ def test_verify_trans_with_one_premise():
     replace_fact(db, fid, premises=db.facts[fid].premises[:1])
     with pytest.raises(ReplayError, match="premises"):
         verify(db)
+
+
+@pytest.mark.parametrize("ahead", [0, 1], ids=["own-id", "later-id"])
+def test_a_premise_must_precede_its_fact(ahead):
+    """A rule:trans fact that cites itself or a later fact, with the right
+    premise count, fails in `verify` and in `check_trace`."""
+    db = derive("mod1")
+    fid = next(i for i, f in enumerate(db.facts) if f.rule == "rule:trans")
+    first = db.facts[fid].premises[0]
+    msg = rf"^fact {fid}: premise {fid + ahead} does not precede it$"
+    lines = _retrace(db.trace_lines(), "rule:trans", f"{first},{fid + ahead}")
+    with pytest.raises(ReplayError, match=msg):
+        check_trace(db.ctx, lines)
+    replace_fact(db, fid, premises=(first, fid + ahead))
+    with pytest.raises(ReplayError, match=msg):
+        verify(db)
+
+
+def test_check_trace_rejects_a_renumbered_line():
+    db = derive("mod1")
+    lines = db.trace_lines()
+    lines[3] = "4" + lines[3][1:]
+    with pytest.raises(ReplayError, match=r"^trace line 4: expected id 3, got 4$"):
+        check_trace(db.ctx, lines)
+
+
+def test_check_trace_skips_blank_lines():
+    db = derive("mod1")
+    lines = db.trace_lines()
+    spaced = ["", lines[0], "   ", "\n"] + lines[1:] + ["\t\n"]
+    assert check_trace(db.ctx, spaced) == len(db.facts)
+
+
+def test_a_continuum_below_aleph1_is_refused():
+    with pytest.raises(FactError, match="forced continuum aleph0 must be >= aleph1"):
+        FactDB(CardContext([]), "aleph0")
 
 
 # -- a corrupted conclusion of the same shape, per rule family ---------------
